@@ -19,10 +19,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from wl2gnn.bench import (TrainConfig, evaluate_model, stratified_holdout,
-                          train_model, _select)
+from wl2gnn.bench import triangle_experiment
 from wl2gnn.graphs import TriangleConfig, generate_triangle_dataset
-from wl2gnn.layers import ModelSpec, prepare_units
 
 
 def main():
@@ -50,39 +48,16 @@ def main():
     print(f"{len(graphs)} graphs (n {min(sizes)}..{max(sizes)}, "
           f"mean {np.mean(sizes):.1f}), generated in {time.time() - t0:.0f}s")
 
-    rng = np.random.default_rng(args.split_seed)
-    # small stratified training split, large held-out test side: the
-    # comparison is architectural, so test variance matters more than
-    # training set size
-    test_idx, train_idx = stratified_holdout(np.arange(len(graphs)), labels,
-                                             args.train_fraction, rng)
-    print(f"split: {len(train_idx)} train / {len(test_idx)} test")
     seeds = [int(s) for s in args.train_seeds.split(",")]
-
-    for layer in ("wl2", "gin", "baseline"):
-        spec = ModelSpec(layer=layer, t=3, d=32, r=2, pool="mean",
-                         act="relu", lr=1e-2)
-        t1 = time.time()
-        units = prepare_units(spec, graphs)
-        prep = time.time() - t1
-        tr_u, te_u = _select(units, train_idx), _select(units, test_idx)
-        tr_y, te_y = labels[train_idx], labels[test_idx]
-        config = TrainConfig(
-            epochs=400 if layer == "wl2" else 200, patience=10 ** 6,
-            batch_size=32,
-            target_train_acc=0.95 if layer == "wl2" else None,
-            lr_decay=0.5, lr_patience=40)
-        tests = []
-        for seed in seeds:
-            trained = train_model(spec, tr_u, tr_y, config, seed,
-                                  val_units=tr_u, val_labels=tr_y)
-            _, tr_acc = evaluate_model(spec, trained.params, tr_u, tr_y)
-            _, te_acc = evaluate_model(spec, trained.params, te_u, te_y)
-            tests.append(te_acc)
-            print(f"  {layer} seed {seed}: train {tr_acc:.3f} "
-                  f"test {te_acc:.3f} ({trained.epochs} epochs, "
-                  f"{trained.seconds:.0f}s)")
-        print(f"{layer}: prep {prep:.1f}s, mean test {np.mean(tests):.3f}")
+    runs = triangle_experiment(graphs, labels, seeds=seeds,
+                               split_seed=args.split_seed,
+                               train_fraction=args.train_fraction)
+    for layer, family in runs.items():
+        for seed, (train, test, trained) in zip(seeds, family):
+            print(f"  {layer} seed {seed}: train {train:.3f} test {test:.3f} "
+                  f"({trained.epochs} epochs, {trained.seconds:.0f}s)")
+        print(f"{layer}: mean test "
+              f"{np.mean([test for _, test, _ in family]):.3f}")
 
 
 if __name__ == "__main__":

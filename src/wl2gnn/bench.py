@@ -18,14 +18,15 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .graphs import circulant_graph
-from .layers import (ModelSpec, combine_units, format_model_spec,
-                     forward_model, init_model_params, prepare_units,
-                     validate_model_spec)
+from .layers import (FAMILIES, ModelSpec, combine_units, format_model_spec,
+                     forward_model, init_model_params, input_width,
+                     prepare_units, validate_model_spec)
 
 RESULT_COLUMNS = ("dataset", "model", "params", "fold", "repeat",
                   "train_acc", "test_acc", "epochs", "seconds")
@@ -128,12 +129,7 @@ def train_model(spec, units, labels, config, seed,
     validation set is given, restoring the best epoch's weights."""
     validate_model_spec(spec)
     labels = np.asarray(labels, dtype=np.float64)
-    if spec.layer == "wl2" or spec.layer == "gnn2":
-        enc = units[0] if spec.layer == "wl2" else units[0].enc
-        in_dim = enc.width
-    else:
-        in_dim = units[0].vertex_features.shape[1]
-    params = init_model_params(spec, in_dim, seed)
+    params = init_model_params(spec, input_width(spec, units), seed)
     tensors = params.tensors()
     state = T.AdamState.for_params(tensors, spec.lr)
     rng = np.random.default_rng([seed, 0x5eed])
@@ -174,33 +170,31 @@ def train_model(spec, units, labels, config, seed,
                         seconds=time.perf_counter() - start)
 
 
+def _unit_key(spec):
+    """Specs with the same key share their prepared units."""
+    return spec.layer, spec.r if FAMILIES[spec.layer].uses_radius else 1
+
+
 def _unit_cache(grid, graphs):
     cache = {}
     for spec in grid:
-        key = (spec.layer, spec.r if spec.layer == "wl2" else 1)
-        if key not in cache:
-            cache[key] = prepare_units(spec, graphs)
+        if _unit_key(spec) not in cache:
+            cache[_unit_key(spec)] = prepare_units(spec, graphs)
     return cache
 
 
-def _units_for(cache, spec):
-    return cache[(spec.layer, spec.r if spec.layer == "wl2" else 1)]
-
-
-def _run_fold(graphs, labels, grid, config, dataset, folds, fold, cache=None):
+def _run_fold(cache, labels, grid, config, dataset, folds, fold):
     """Selection and repeated retraining for one outer fold. Sees the
     test fold only for the single final evaluation per repeat."""
-    if cache is None:
-        cache = _unit_cache(grid, graphs)
     test_idx = folds[fold]
-    train_idx = np.asarray(sorted(set(range(len(graphs)))
+    train_idx = np.asarray(sorted(set(range(len(labels)))
                                   - set(test_idx.tolist())), dtype=np.int64)
     rng = np.random.default_rng([config.seed, fold])
     inner_idx, held_idx = stratified_holdout(train_idx, labels,
                                              config.holdout, rng)
     best_spec, best_acc = None, -1.0
     for spec in grid:
-        units = _units_for(cache, spec)
+        units = cache[_unit_key(spec)]
         trained = train_model(spec, _select(units, inner_idx),
                               labels[inner_idx], config,
                               seed=int(rng.integers(2 ** 31)),
@@ -211,7 +205,7 @@ def _run_fold(graphs, labels, grid, config, dataset, folds, fold, cache=None):
         if acc > best_acc:
             best_spec, best_acc = spec, acc
     results = []
-    units = _units_for(cache, best_spec)
+    units = cache[_unit_key(best_spec)]
     for repeat in range(config.repeats):
         trained = train_model(best_spec, _select(units, train_idx),
                               labels[train_idx], config,
@@ -233,10 +227,6 @@ def _run_fold(graphs, labels, grid, config, dataset, folds, fold, cache=None):
     return results
 
 
-def _run_fold_task(payload):
-    return _run_fold(*payload)
-
-
 def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     """Full cross-validation; returns FoldResults sorted by
     (fold, repeat) regardless of worker count."""
@@ -250,23 +240,68 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
         if spec.pool == "min":
             raise ValueError("min pooling is a demonstration mode, "
                              "not part of the training grid")
+    # more folds than a class has graphs leaves test folds without that
+    # class, or empty
+    smallest = min(np.unique(labels, return_counts=True)[1], default=0)
+    if not 2 <= config.folds <= smallest:
+        raise ValueError(f"cannot split into {config.folds} stratified folds: "
+                         f"need at least 2 and at most the smallest class "
+                         f"count ({smallest})")
     folds = stratified_folds(labels, config.folds, np.random.default_rng(config.seed))
-    results = []
+    # units are prepared once and shipped to the workers
+    fold_task = partial(_run_fold, _unit_cache(grid, graphs), labels, grid,
+                        config, dataset, folds)
     if config.workers > 1:
-        payloads = [(graphs, labels, grid, config, dataset, folds, fold)
-                    for fold in range(config.folds)]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for rows in pool.map(_run_fold_task, payloads):
-                results.extend(rows)
+            per_fold = list(pool.map(fold_task, range(config.folds)))
     else:
-        cache = _unit_cache(grid, graphs)
-        for fold in range(config.folds):
-            results.extend(_run_fold(graphs, labels, grid, config, dataset,
-                                     folds, fold, cache=cache))
-    results.sort(key=lambda r: (r.fold, r.repeat))
+        per_fold = [fold_task(fold) for fold in range(config.folds)]
+    results = sorted((r for rows in per_fold for r in rows),
+                     key=lambda r: (r.fold, r.repeat))
     if out_path is not None:
         write_results_csv(results, out_path)
     return results
+
+
+# ---------------------------------------------------------------------------
+# triangle experiment
+
+
+def triangle_experiment(graphs, labels, seeds, split_seed, train_fraction):
+    """Pair convolutions against GIN and a structure-blind baseline.
+
+    One stratified split keeps `train_fraction` of the graphs for
+    training and tests on the rest: the comparison is architectural, so
+    a large, low-variance test side matters more than training set
+    size. Each family is trained once per seed, with the training set
+    as its validation set. Returns a dict from family to one
+    (train accuracy, test accuracy, TrainedModel) per seed.
+    """
+    labels = np.asarray(labels)
+    test_idx, train_idx = stratified_holdout(
+        np.arange(len(graphs)), labels, train_fraction,
+        np.random.default_rng(split_seed))
+    tr_y, te_y = labels[train_idx], labels[test_idx]
+    runs = {}
+    # the pair model stops as soon as it fits, the vertex models run
+    # their whole epoch budget
+    for layer, epochs, target in (("wl2", 400, 0.95), ("gin", 200, None),
+                                  ("baseline", 200, None)):
+        spec = ModelSpec(layer=layer, t=3, d=32, r=2, pool="mean", act="relu",
+                         lr=1e-2)
+        units = prepare_units(spec, graphs)
+        tr_u, te_u = _select(units, train_idx), _select(units, test_idx)
+        config = TrainConfig(epochs=epochs, patience=10 ** 6, batch_size=32,
+                             target_train_acc=target, lr_decay=0.5,
+                             lr_patience=40)
+        runs[layer] = []
+        for seed in seeds:
+            trained = train_model(spec, tr_u, tr_y, config, seed,
+                                  val_units=tr_u, val_labels=tr_y)
+            _, tr_acc = evaluate_model(spec, trained.params, tr_u, tr_y)
+            _, te_acc = evaluate_model(spec, trained.params, te_u, te_y)
+            runs[layer].append((tr_acc, te_acc, trained))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +424,11 @@ def epoch_timing(n_list, d_list, r_list, spec, n_graphs=100, epochs=100,
                     continue
                 run_spec = replace(spec, r=r)
                 labels = rng.integers(0, 2, size=n_graphs).astype(np.float64)
-                batch = combine_units(run_spec,
-                                      prepare_units(run_spec, graphs))
-                if run_spec.layer == "wl2":
-                    gamma = int(batch.gamma)
-                    in_dim = batch.width
-                elif run_spec.layer == "gnn2":
-                    gamma = int(batch.enc.gamma)
-                    in_dim = batch.enc.width
-                else:
-                    gamma = 0
-                    in_dim = graphs[0].vertex_features.shape[1]
-                params = init_model_params(run_spec, in_dim, seed)
+                units = prepare_units(run_spec, graphs)
+                batch = combine_units(run_spec, units)
+                gamma = int(FAMILIES[run_spec.layer].gamma(batch))
+                params = init_model_params(run_spec,
+                                           input_width(run_spec, units), seed)
                 tensors = params.tensors()
                 state = T.AdamState.for_params(tensors, run_spec.lr)
                 y = labels.reshape(-1, 1)

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .bench import (DEFAULT_RADII, TrainConfig, epoch_timing, foldwise_deltas,
                     read_results_csv, run_cv, write_timing_csv)
 from .encoding import encode_batch, save_encoding
 from .graphs import GraphError, generate_triangle_dataset, load_tu_dataset, \
     save_tu_dataset
-from .layers import ModelSpec, format_model_spec, parse_model_spec
+from .layers import FAMILIES, ModelSpec, parse_model_spec
 
 DEFAULT_GRID = ("layer=wl2,T=3,d=32,r=1,pool=mean,act=logistic,lr=0.001",)
 
@@ -61,8 +62,8 @@ def _cmd_cv(args):
         lines = list(DEFAULT_GRID)
     grid = [parse_model_spec(ln) for ln in lines]
     if radius is not None:
-        from dataclasses import replace
-        grid = [replace(s, r=radius) if s.layer == "wl2" else s for s in grid]
+        grid = [replace(s, r=radius) if FAMILIES[s.layer].uses_radius else s
+                for s in grid]
     config = TrainConfig(epochs=args.epochs, patience=args.patience,
                          batch_size=args.batch_size, seed=args.seed,
                          folds=args.folds, repeats=args.repeats,

@@ -413,9 +413,12 @@ def _parse_floats(path):
         if not line.strip():
             continue
         try:
-            rows.append([float(x) for x in line.replace(",", " ").split()])
+            row = [float(x) for x in line.replace(",", " ").split()]
         except ValueError:
             raise GraphError(f"{path}:{lineno}: expected floats, got {line!r}")
+        if not np.isfinite(row).all():
+            raise GraphError(f"{path}:{lineno}: non-finite value in {line!r}")
+        rows.append(row)
     return rows
 
 

@@ -17,17 +17,27 @@ learnable self-weight, followed by an MLP), the plain edge-multiset
 convolution that aggregates over the edge neighborhood graph without
 pair information, pooling modes, and the constructive translation of
 weighted vertex-sum networks into stacks of pair convolutions.
+
+The four model families (`wl2`, `gin`, `gnn2`, `baseline`) are the
+entries of `FAMILIES`, and every family-specific step of model
+assembly, training and cross-validation is a lookup there. A new
+family provides one `Family` record: how to prepare one graph's
+cacheable unit and combine units into a batch, a batch's initial
+feature rows, one conv layer's parameters and forward step, the graph
+of each row, the reference-triple count, and whether the power radius
+`r` changes its units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .encoding import Wl2Encoding, combine_encodings, encode, encode_batch
-from .graphs import Graph, GraphError, edge_neighborhood_graph, graph_power
+from .encoding import Wl2Encoding, combine_encodings, encode
+from .graphs import GraphError, edge_neighborhood_graph
 from .tensor import ACTIVATIONS, Tensor, constant
 
 
@@ -154,19 +164,17 @@ def _neighbor_sum(z, src, dst, n):
     return T.scatter_sum(T.gather(z, src), dst, n)
 
 
-def gin_layer(g, z, params):
-    """MLP((1 + eps) z[v] + sum of neighbor features) on one graph."""
-    src, dst = _directed_pairs(g.edges)
-    agg = T.add(T.scale(z, 1.0 + params.eps), _neighbor_sum(z, src, dst, g.n))
+def gin_layer(batch, z, params):
+    """MLP((1 + eps) z[v] + sum of neighbor features) on a `VertexBatch`."""
+    agg = T.add(T.scale(z, 1.0 + params.eps),
+                _neighbor_sum(z, batch.src, batch.dst, batch.n))
     return params.mlp.apply(agg)
 
 
 def _directed_pairs(edges):
-    src, dst = [], []
-    for i, j in edges:
-        src.extend((i, j))
-        dst.extend((j, i))
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    """Both directions of every edge, (i, j) then (j, i), in edge order."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return e.ravel(), e[:, ::-1].ravel()
 
 
 @dataclass
@@ -179,21 +187,16 @@ class Gnn2LayerParams:
         return [self.w, self.w_g]
 
 
-def gnn2_layer(g, z, params):
-    """Edge-multiset convolution: every row (the 2-multisets {v, v} and
-    {v, u}) aggregates the plain sum of its neighbors in the edge
-    neighborhood graph, without pair alignment:
+def gnn2_layer(batch, z, params):
+    """Edge-multiset convolution on an `EdgeBatch`: every row (the
+    2-multisets {v, v} and {v, u}) aggregates the plain sum of its
+    neighbors in the edge neighborhood graph, without pair alignment:
 
         sigma( Z[e] W + (sum of neighbor rows) W_G )
 
     Rows follow the encoding order at radius 1: loops, then edges.
     """
-    gx = edge_neighborhood_graph(g)
-    if z.shape[0] != gx.n:
-        raise GraphError(f"feature rows ({z.shape[0]}) do not match loops plus "
-                         f"edges ({gx.n})")
-    src, dst = _directed_pairs(gx.edges)
-    agg = _neighbor_sum(z, src, dst, gx.n)
+    agg = _neighbor_sum(z, batch.src, batch.dst, batch.enc.m)
     return ACTIVATIONS[params.act](T.add(T.matmul(z, params.w),
                                          T.matmul(agg, params.w_g)))
 
@@ -247,10 +250,10 @@ def pool(z, mode, scores=None):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    layer: str = "wl2"        # wl2 | gin | gnn2 | baseline
+    layer: str = "wl2"        # a key of FAMILIES
     t: int = 3                # conv layers (MLP depth for the baseline)
     d: int = 32               # feature width
-    r: int = 1                # power radius (wl2 only)
+    r: int = 1                # power radius, read by families that use it
     pool: str = "mean"
     act: str = "logistic"     # sigma and sigma_g, also head hidden layers
     lr: float = 1e-3
@@ -261,7 +264,7 @@ class ModelSpec:
 
 
 def validate_model_spec(spec):
-    if spec.layer not in ("wl2", "gin", "gnn2", "baseline"):
+    if spec.layer not in FAMILIES:
         raise ValueError(f"unknown layer type {spec.layer!r}")
     if spec.pool not in POOL_MODES:
         raise ValueError(f"unknown pooling mode {spec.pool!r}")
@@ -317,7 +320,7 @@ def parse_model_spec(text):
 
 @dataclass
 class VertexBatch:
-    x: np.ndarray
+    vertex_features: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     seg: np.ndarray
@@ -325,24 +328,19 @@ class VertexBatch:
 
     @property
     def n(self):
-        return self.x.shape[0]
+        return self.vertex_features.shape[0]
 
 
 def vertex_batch(graphs):
     graphs = list(graphs)
     x = np.vstack([g.vertex_features for g in graphs])
-    src, dst, seg = [], [], []
-    offset = 0
-    for gid, g in enumerate(graphs):
-        s, d = _directed_pairs(g.edges)
-        src.append(s + offset)
-        dst.append(d + offset)
-        seg.extend([gid] * g.n)
-        offset += g.n
-    return VertexBatch(x=x,
-                       src=np.concatenate(src) if src else np.empty(0, np.int64),
-                       dst=np.concatenate(dst) if dst else np.empty(0, np.int64),
-                       seg=np.asarray(seg, dtype=np.int64),
+    sizes = [g.n for g in graphs]
+    starts = np.cumsum([0] + sizes[:-1])
+    src, dst = _directed_pairs(np.concatenate(
+        [np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) + start
+         for g, start in zip(graphs, starts)]))
+    return VertexBatch(vertex_features=x, src=src, dst=dst,
+                       seg=np.repeat(np.arange(len(graphs)), sizes),
                        n_graphs=len(graphs))
 
 
@@ -364,43 +362,14 @@ def edge_batch_unit(g):
 def combine_edge_batches(units):
     units = list(units)
     enc = combine_encodings(u.enc for u in units)
-    src, dst = [], []
-    for u, (row_start, _, _, _) in zip(units, enc.graph_offsets):
-        src.append(u.src + row_start)
-        dst.append(u.dst + row_start)
-    return EdgeBatch(enc=enc,
-                     src=np.concatenate(src) if src else np.empty(0, np.int64),
-                     dst=np.concatenate(dst) if dst else np.empty(0, np.int64))
-
-
-def prepare_units(spec, graphs):
-    """Per-graph precomputation that can be cached across epochs."""
-    if spec.layer == "wl2":
-        return [encode(g, spec.r) for g in graphs]
-    if spec.layer == "gnn2":
-        return [edge_batch_unit(g) for g in graphs]
-    return list(graphs)
-
-
-def combine_units(spec, units):
-    if spec.layer == "wl2":
-        return combine_encodings(units)
-    if spec.layer == "gnn2":
-        return combine_edge_batches(units)
-    return vertex_batch(units)
-
-
-def input_width(spec, graphs):
-    g = graphs[0]
-    if spec.layer in ("gin", "baseline"):
-        return g.vertex_features.shape[1]
-    dv = g.vertex_features.shape[1]
-    de = g.edge_features.shape[1]
-    return dv + (de if de else 1)
+    starts = enc.graph_offsets[:, 0]
+    src = np.concatenate([u.src + s for u, s in zip(units, starts)])
+    dst = np.concatenate([u.dst + s for u, s in zip(units, starts)])
+    return EdgeBatch(enc=enc, src=src, dst=dst)
 
 
 # ---------------------------------------------------------------------------
-# parameter construction and the forward pass
+# parameter construction
 
 
 @dataclass
@@ -419,29 +388,8 @@ class ModelParams:
             out.append(self.score)
         return out
 
-    def named(self):
-        names = {}
-        for t, conv in enumerate(self.convs):
-            for label, ten in zip(_conv_labels(conv), conv.tensors()):
-                names[f"conv{t}.{label}"] = ten
-        for k, layer in enumerate(self.head.layers):
-            names[f"head{k}.w"] = layer.w
-            if layer.b is not None:
-                names[f"head{k}.b"] = layer.b
-        if self.score is not None:
-            names["score"] = self.score
-        return names
-
     def n_params(self):
         return sum(t.data.size for t in self.tensors())
-
-
-def _conv_labels(conv):
-    if isinstance(conv, Wl2LayerParams):
-        return ("w_l", "w_f", "w_g")
-    if isinstance(conv, Gnn2LayerParams):
-        return ("w", "w_g")
-    return tuple(f"p{k}" for k in range(len(conv.tensors())))
 
 
 def _make_mlp(rng, dims, act, final_act="identity", bias=True):
@@ -456,32 +404,90 @@ def _make_mlp(rng, dims, act, final_act="identity", bias=True):
 GIN_EPS = 0.1
 
 
+def _glorot(rng, d_in, d_out, count):
+    """`count` weight matrices, drawn in order."""
+    return [T.glorot_uniform(rng, d_in, d_out) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# the model-family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """What model assembly, training and cross-validation need from one
+    model family. A unit is one graph's cacheable input; the initial
+    feature width of a unit is `features(unit).shape[1]`."""
+    prepare: Callable     # (spec, graph) -> unit
+    combine: Callable     # units -> batch
+    features: Callable    # unit or batch -> initial feature rows
+    init: Callable        # (spec, d_in, d_out, rng) -> one conv's parameters
+    conv: Callable        # (batch, rows, conv parameters) -> next rows
+    segments: Callable    # batch -> (graph id of each row, n_graphs)
+    gamma: Callable       # batch -> reference triples, 0 for vertex models
+    uses_radius: bool     # whether spec.r changes the prepared units
+
+
+# the vertex families read the graphs themselves; the baseline's convs are
+# single dense layers, so it never looks at the edges
+_VERTEX_INPUTS = dict(prepare=lambda spec, g: g, combine=vertex_batch,
+                      features=lambda batch: batch.vertex_features,
+                      segments=lambda batch: (batch.seg, batch.n_graphs),
+                      gamma=lambda batch: 0, uses_radius=False)
+
+# the lambdas around encode, combine_encodings and wl2_conv look them up
+# at call time, so wrappers installed on this module see every call
+FAMILIES = {
+    "wl2": Family(prepare=lambda spec, g: encode(g, spec.r),
+                  combine=lambda units: combine_encodings(units),
+                  features=lambda enc: enc.z0,
+                  init=lambda spec, d_in, d_out, rng: Wl2LayerParams(
+                      *_glorot(rng, d_in, d_out, 3), spec.act, spec.act),
+                  conv=lambda enc, z, params: wl2_conv(enc, z, params),
+                  segments=lambda enc: (enc.row_segments(), enc.n_graphs),
+                  gamma=lambda enc: enc.gamma, uses_radius=True),
+    "gin": Family(init=lambda spec, d_in, d_out, rng: GinLayerParams(
+                      GIN_EPS, _make_mlp(rng, [d_in, spec.d, d_out], spec.act,
+                                         final_act=spec.act)),
+                  conv=gin_layer, **_VERTEX_INPUTS),
+    "gnn2": Family(prepare=lambda spec, g: edge_batch_unit(g),
+                   combine=combine_edge_batches,
+                   features=lambda batch: batch.enc.z0,
+                   init=lambda spec, d_in, d_out, rng: Gnn2LayerParams(
+                       *_glorot(rng, d_in, d_out, 2), spec.act),
+                   conv=gnn2_layer,
+                   segments=lambda batch: (batch.enc.row_segments(),
+                                           batch.enc.n_graphs),
+                   gamma=lambda batch: batch.enc.gamma, uses_radius=False),
+    "baseline": Family(init=lambda spec, d_in, d_out, rng: _make_mlp(
+                           rng, [d_in, d_out], spec.act, final_act=spec.act),
+                       conv=lambda batch, z, mlp: mlp.apply(z),
+                       **_VERTEX_INPUTS),
+}
+
+
+def prepare_units(spec, graphs):
+    """Per-graph precomputation that can be cached across epochs."""
+    prepare = FAMILIES[spec.layer].prepare
+    return [prepare(spec, g) for g in graphs]
+
+
+def combine_units(spec, units):
+    return FAMILIES[spec.layer].combine(units)
+
+
+def input_width(spec, units):
+    """Initial feature width of units from `prepare_units`."""
+    return FAMILIES[spec.layer].features(units[0]).shape[1]
+
+
 def init_model_params(spec, in_dim, seed):
     """Seeded parameter initialization (uniform Glorot, zero biases)."""
     validate_model_spec(spec)
     rng = np.random.default_rng(seed)
-    convs = []
     dims = [in_dim] + [spec.d] * spec.t
-    if spec.layer == "wl2":
-        for k in range(spec.t):
-            convs.append(Wl2LayerParams(
-                w_l=T.glorot_uniform(rng, dims[k], dims[k + 1]),
-                w_f=T.glorot_uniform(rng, dims[k], dims[k + 1]),
-                w_g=T.glorot_uniform(rng, dims[k], dims[k + 1]),
-                act=spec.act, act_gamma=spec.act))
-    elif spec.layer == "gin":
-        for k in range(spec.t):
-            mlp = _make_mlp(rng, [dims[k], spec.d, dims[k + 1]],
-                            spec.act, final_act=spec.act)
-            convs.append(GinLayerParams(eps=GIN_EPS, mlp=mlp))
-    elif spec.layer == "gnn2":
-        for k in range(spec.t):
-            convs.append(Gnn2LayerParams(
-                w=T.glorot_uniform(rng, dims[k], dims[k + 1]),
-                w_g=T.glorot_uniform(rng, dims[k], dims[k + 1]),
-                act=spec.act))
-    elif spec.layer == "baseline":
-        convs.append(_make_mlp(rng, dims, spec.act, final_act=spec.act))
+    init = FAMILIES[spec.layer].init
+    convs = [init(spec, dims[k], dims[k + 1], rng) for k in range(spec.t)]
     head = _make_mlp(rng, [spec.d, *spec.head_widths(), 1], spec.act)
     score = None
     if spec.pool == "weighted_mean":
@@ -492,32 +498,11 @@ def init_model_params(spec, in_dim, seed):
 def forward_model(spec, params, batch):
     """Runs the full model on a batch; returns per-graph logits as an
     (n_graphs, 1) tensor wired for the reverse pass."""
-    if spec.layer == "wl2":
-        enc = batch
-        z = constant(enc.z0)
-        for conv in params.convs:
-            z = wl2_conv(enc, z, conv)
-        seg, n_graphs = enc.row_segments(), enc.n_graphs
-    elif spec.layer == "gnn2":
-        enc = batch.enc
-        z = constant(enc.z0)
-        for conv in params.convs:
-            agg = _neighbor_sum(z, batch.src, batch.dst, enc.m)
-            z = ACTIVATIONS[conv.act](T.add(T.matmul(z, conv.w),
-                                            T.matmul(agg, conv.w_g)))
-        seg, n_graphs = enc.row_segments(), enc.n_graphs
-    elif spec.layer == "gin":
-        z = constant(batch.x)
-        for conv in params.convs:
-            agg = T.add(T.scale(z, 1.0 + conv.eps),
-                        _neighbor_sum(z, batch.src, batch.dst, batch.n))
-            z = conv.mlp.apply(agg)
-        seg, n_graphs = batch.seg, batch.n_graphs
-    elif spec.layer == "baseline":
-        z = params.convs[0].apply(constant(batch.x))
-        seg, n_graphs = batch.seg, batch.n_graphs
-    else:
-        raise ValueError(f"unknown layer type {spec.layer!r}")
+    family = FAMILIES[spec.layer]
+    z = constant(family.features(batch))
+    for conv in params.convs:
+        z = family.conv(batch, z, conv)
+    seg, n_graphs = family.segments(batch)
     scores = T.matmul(z, params.score) if params.score is not None else None
     pooled = pool_segments(z, spec.pool, seg, n_graphs, scores=scores)
     return params.head.apply(pooled)

@@ -15,9 +15,9 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES
 
 import wl2gnn.tensor as T
-from wl2gnn.bench import (TrainConfig, epoch_timing, evaluate_model,
-                          loglog_slope, run_cv, stratified_holdout,
-                          train_model, _random_regular_circulant, _select)
+from wl2gnn.bench import (TrainConfig, epoch_timing, loglog_slope, run_cv,
+                          stratified_holdout, triangle_experiment,
+                          _random_regular_circulant)
 from wl2gnn.encoding import encode, encode_batch
 from wl2gnn.graphs import (Graph, TriangleConfig, complete_graph, cycle_graph,
                            disjoint_union, edge_neighborhood_graph,
@@ -116,7 +116,8 @@ def test_criterion_03_vertex_models_blind():
     for spec, spec_pairs in ((gnn2, pairs), (gin, pairs[:1])):
         for g, h in spec_pairs:
             for seed in range(10):
-                params = init_model_params(spec, input_width(spec, [g]), seed)
+                params = init_model_params(
+                    spec, input_width(spec, prepare_units(spec, [g])), seed)
                 logits = []
                 for graph in (g, h):
                     batch = combine_units(spec, prepare_units(spec, [graph]))
@@ -283,8 +284,9 @@ def test_criterion_08_gradient_suite():
     spec = ModelSpec(layer="wl2", t=2, d=3, r=2, pool="weighted_mean",
                      act="logistic", lr=1e-3)
     graphs = [cycle_graph(5), complete_graph(4)]
-    params = init_model_params(spec, input_width(spec, graphs), seed=88)
-    batch = combine_units(spec, prepare_units(spec, graphs))
+    units = prepare_units(spec, graphs)
+    params = init_model_params(spec, input_width(spec, units), seed=88)
+    batch = combine_units(spec, units)
     targets = np.array([[1.0], [0.0]])
     check(lambda: T.bce(forward_model(spec, params, batch), targets),
           *params.tensors())
@@ -324,44 +326,23 @@ def test_criterion_09_triangle_learning():
     start = time.perf_counter()
     cfg = TriangleConfig(vertex_counts=(8, 10, 12, 14), samples_per_cell=6)
     graphs, labels, _ = generate_triangle_dataset(7, cfg)
-    rng = np.random.default_rng(123)
     # deliberately small training split: the claim under test is the
     # architectural separation, and the large held-out side gives a
     # low-variance test estimate while keeping training cheap
-    train_fraction = 0.2
-    test_idx, train_idx = stratified_holdout(np.arange(len(graphs)), labels,
-                                             train_fraction, rng)
-    tr_y, te_y = labels[train_idx], labels[test_idx]
-    means, trains = {}, {}
-    for layer in ("wl2", "gin", "baseline"):
-        spec = ModelSpec(layer=layer, t=3, d=32, r=2, pool="mean", act="relu",
-                         lr=1e-2)
-        units = prepare_units(spec, graphs)
-        tr_u, te_u = _select(units, train_idx), _select(units, test_idx)
-        config = TrainConfig(
-            epochs=400 if layer == "wl2" else 200, patience=10 ** 6,
-            batch_size=32,
-            target_train_acc=0.95 if layer == "wl2" else None,
-            lr_decay=0.5, lr_patience=40)
-        test_accs, train_accs = [], []
-        for seed in (0, 1, 2):
-            trained = train_model(spec, tr_u, tr_y, config, seed,
-                                  val_units=tr_u, val_labels=tr_y)
-            _, tr_acc = evaluate_model(spec, trained.params, tr_u, tr_y)
-            _, te_acc = evaluate_model(spec, trained.params, te_u, te_y)
-            train_accs.append(tr_acc)
-            test_accs.append(te_acc)
-        means[layer] = float(np.mean(test_accs))
-        trains[layer] = train_accs
+    runs = triangle_experiment(graphs, labels, seeds=(0, 1, 2),
+                               split_seed=123, train_fraction=0.2)
+    means = {layer: float(np.mean([test for _, test, _ in family]))
+             for layer, family in runs.items()}
+    wl2_trains = [train for train, _, _ in runs["wl2"]]
     elapsed = time.perf_counter() - start
-    assert min(trains["wl2"]) >= 0.95, f"wl2 train accs {trains['wl2']}"
+    assert min(wl2_trains) >= 0.95, f"wl2 train accs {wl2_trains}"
     margin = means["wl2"] - means["gin"]
     assert margin >= 0.05, f"test margin over gin only {margin:+.3f}"
     assert means["baseline"] <= 0.65, f"baseline test {means['baseline']:.3f}"
     assert elapsed <= 900, f"took {elapsed:.0f}s"
     return (f"{len(graphs)} graphs: wl2 test {means['wl2']:.3f} vs gin "
             f"{means['gin']:.3f} vs baseline {means['baseline']:.3f}, "
-            f"wl2 train >= {min(trains['wl2']):.3f} ({elapsed:.0f} s)")
+            f"wl2 train >= {min(wl2_trains):.3f} ({elapsed:.0f} s)")
 
 
 def _synthetic_tu_corpus(path, count=240):

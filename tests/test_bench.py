@@ -19,7 +19,8 @@ from wl2gnn.bench import (
     _random_regular_circulant,
     _select,
 )
-from wl2gnn.graphs import Graph
+from wl2gnn.cli import main
+from wl2gnn.graphs import Graph, save_tu_dataset
 from wl2gnn.layers import ModelSpec, init_model_params, input_width, prepare_units
 
 
@@ -40,6 +41,7 @@ def separable_dataset(count=20):
 
 BASELINE = ModelSpec(layer="baseline", t=1, d=4, r=1, pool="mean",
                      act="relu", lr=1e-2)
+WL2 = ModelSpec(layer="wl2", t=1, d=4, r=2, pool="mean", act="relu", lr=1e-2)
 
 
 # ------------------------------------------------------------------ splits
@@ -168,11 +170,12 @@ def test_run_cv_shape_and_csv_round_trip(tmp_path):
 def test_run_cv_parallel_matches_serial():
     graphs, labels = separable_dataset(12)
     config = quick_config(folds=3, repeats=1, epochs=2)
-    serial = run_cv(graphs, labels, [BASELINE], config)
-    parallel = run_cv(graphs, labels, [BASELINE],
-                      quick_config(folds=3, repeats=1, epochs=2, workers=2))
-    assert [(r.fold, r.test_acc) for r in serial] == \
-           [(r.fold, r.test_acc) for r in parallel]
+    for spec in (BASELINE, WL2):
+        serial = run_cv(graphs, labels, [spec], config)
+        parallel = run_cv(graphs, labels, [spec],
+                          quick_config(folds=3, repeats=1, epochs=2, workers=2))
+        assert [(r.fold, r.test_acc) for r in serial] == \
+               [(r.fold, r.test_acc) for r in parallel]
 
 
 def test_run_cv_input_validation():
@@ -185,6 +188,26 @@ def test_run_cv_input_validation():
         run_cv(graphs, labels,
                [ModelSpec(layer="baseline", t=1, d=4, r=1, pool="min",
                           act="relu", lr=1e-2)], quick_config())
+
+
+def test_run_cv_rejects_more_folds_than_a_class_has():
+    graphs, labels = separable_dataset(8)  # 4 graphs per class
+    with pytest.raises(ValueError, match=r"smallest class count \(4\)"):
+        run_cv(graphs, labels, [BASELINE], quick_config(folds=10))
+    with pytest.raises(ValueError):
+        run_cv(graphs, labels, [BASELINE], quick_config(folds=1))
+
+
+def test_cli_cv_rejects_more_folds_than_a_class_has(tmp_path, capsys):
+    graphs, labels = separable_dataset(8)
+    save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
+    code = main(["cv", "--dataset", str(tmp_path / "TOY"), "--folds", "10",
+                 "--out", str(tmp_path / "results.csv")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "smallest class count (4)" in err[0]
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_read_results_csv_rejects_wrong_header(tmp_path):

@@ -378,6 +378,14 @@ def test_tu_rejects_malformed_line(tmp_path):
     assert "_A.txt:2" in str(err.value)
 
 
+def test_tu_rejects_non_finite_attribute(tmp_path):
+    d = write_toy_tu(tmp_path)
+    (d / "TOY_node_attributes.txt").write_text("0.5\n1.0\nnan\n2.0\n-1.0\n")
+    with pytest.raises(GraphError) as err:
+        load_tu_dataset(d)
+    assert "TOY_node_attributes.txt:3" in str(err.value)
+
+
 def test_tu_accepts_any_two_label_values(tmp_path):
     d = write_toy_tu(tmp_path)
     (d / "TOY_graph_labels.txt").write_text("7\n3\n")

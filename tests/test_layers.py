@@ -13,6 +13,7 @@ from wl2gnn.graphs import (
     graph_power,
 )
 from wl2gnn.layers import (
+    FAMILIES,
     GinLayerParams,
     Gnn2LayerParams,
     Mlp,
@@ -35,6 +36,7 @@ from wl2gnn.layers import (
     simulation_block_boundaries,
     simulation_initial_features,
     validate_model_spec,
+    vertex_batch,
     vertex_sum_forward,
     wl2_conv,
     wl2_conv_naive,
@@ -170,7 +172,7 @@ def test_naive_rejects_wrong_row_count():
 def test_gin_edgeless_identity_mlp_eps_zero():
     g = Graph(3, (), vertex_features=np.arange(6.0).reshape(3, 2))
     params = GinLayerParams(eps=0.0, mlp=Mlp([]))
-    out = gin_layer(g, constant(g.vertex_features), params)
+    out = gin_layer(vertex_batch([g]), constant(g.vertex_features), params)
     assert np.array_equal(out.data, g.vertex_features)
 
 
@@ -179,7 +181,8 @@ def test_gin_star_center_differs_from_leaves():
     rng = np.random.default_rng(3)
     params = GinLayerParams(eps=0.1, mlp=_make_mlp(rng, [1, 4, 4], "relu",
                                                    final_act="relu"))
-    out = gin_layer(g, constant(g.vertex_features), params).data
+    out = gin_layer(vertex_batch([g]), constant(g.vertex_features),
+                    params).data
     assert not np.allclose(out[0], out[1])
     assert np.allclose(out[1], out[2]) and np.allclose(out[2], out[3])
 
@@ -205,7 +208,7 @@ def test_gnn2_single_edge_hand_computation():
     z0 = encode(g, 1).z0
     params = Gnn2LayerParams(w=constant(np.eye(2)),
                              w_g=constant(np.eye(2)), act="identity")
-    out = gnn2_layer(g, constant(z0), params).data
+    out = gnn2_layer(edge_batch_unit(g), constant(z0), params).data
     assert out.tolist() == [[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
 
 
@@ -239,8 +242,9 @@ def test_gnn2_sum_aggregation_conflates_swapped_colorings():
     rng = np.random.default_rng(4)
     params = Gnn2LayerParams(w=T.glorot_uniform(rng, 4, 5),
                              w_g=T.glorot_uniform(rng, 4, 5), act="logistic")
-    out_a = gnn2_layer(g, constant(a), params).data
-    out_b = gnn2_layer(g, constant(b), params).data
+    batch = edge_batch_unit(g)
+    out_a = gnn2_layer(batch, constant(a), params).data
+    out_b = gnn2_layer(batch, constant(b), params).data
     assert np.allclose(out_a[5], out_b[5], atol=1e-12)
     assert not np.allclose(out_a[1], out_b[1])
 
@@ -328,13 +332,12 @@ def test_parse_model_spec_rejects_unknown_key():
 
 # ------------------------------------------------------------ full models
 
-ALL_SPECS = [
-    ModelSpec(layer="wl2", t=2, d=6, r=2, pool="mean", act="logistic", lr=1e-3),
-    ModelSpec(layer="gin", t=2, d=6, r=1, pool="sum", act="relu", lr=1e-3),
-    ModelSpec(layer="gnn2", t=2, d=6, r=1, pool="mean", act="logistic", lr=1e-3),
-    ModelSpec(layer="baseline", t=2, d=6, r=1, pool="weighted_mean",
-              act="relu", lr=1e-3),
-]
+# one spec per family, cycling through the trainable pooling modes and
+# the activations so that every mode meets more than one family
+_POOLS = ("mean", "sum", "weighted_mean")
+ALL_SPECS = [ModelSpec(layer=name, t=2, d=6, r=2, pool=_POOLS[k % 3],
+                       act=("logistic", "relu")[k % 2], lr=1e-3)
+             for k, name in enumerate(FAMILIES)]
 
 
 def featured(n, edges, seed):
@@ -348,7 +351,8 @@ def test_forward_model_permutation_invariant(spec):
                      (1, 4)), seed=7)
     perm = [3, 0, 6, 2, 5, 1, 4]
     h = relabel(g, perm)
-    params = init_model_params(spec, input_width(spec, [g]), seed=11)
+    params = init_model_params(spec, input_width(spec, prepare_units(spec, [g])),
+                               seed=11)
     logits = []
     for graph in (g, h):
         batch = combine_units(spec, prepare_units(spec, [graph]))
@@ -361,8 +365,9 @@ def test_forward_model_batch_matches_single(spec):
     gs = [featured(5, ((0, 1), (1, 2), (2, 3), (3, 4)), seed=8),
           featured(4, ((0, 1), (1, 2), (0, 2), (2, 3)), seed=9),
           featured(3, (), seed=10)]
-    params = init_model_params(spec, input_width(spec, gs), seed=12)
-    batch = combine_units(spec, prepare_units(spec, gs))
+    units = prepare_units(spec, gs)
+    params = init_model_params(spec, input_width(spec, units), seed=12)
+    batch = combine_units(spec, units)
     batched = forward_model(spec, params, batch).data
     assert batched.shape == (3, 1)
     for k, g in enumerate(gs):
@@ -375,8 +380,9 @@ def test_end_to_end_gradients_wl2():
     g1, g2 = cycle_graph(5), complete_graph(4)
     spec = ModelSpec(layer="wl2", t=2, d=3, r=2, pool="weighted_mean",
                      act="logistic", lr=1e-3)
-    params = init_model_params(spec, input_width(spec, [g1]), seed=13)
-    batch = combine_units(spec, prepare_units(spec, [g1, g2]))
+    units = prepare_units(spec, [g1, g2])
+    params = init_model_params(spec, input_width(spec, units), seed=13)
+    batch = combine_units(spec, units)
     y = np.array([[1.0], [0.0]])
     report = T.grad_check(
         lambda: T.bce(forward_model(spec, params, batch), y),
