@@ -126,9 +126,13 @@ def evaluate_model(spec, params, units, labels, batch_size=256):
 def train_model(spec, units, labels, config, seed,
                 val_units=None, val_labels=None):
     """Trains one model; early-stops on validation loss when a
-    validation set is given, restoring the best epoch's weights."""
+    validation set is given, restoring the best epoch's weights. A
+    non-finite training or validation loss raises `ValueError`."""
     validate_model_spec(spec)
     labels = np.asarray(labels, dtype=np.float64)
+    # with the training set as validation set, one evaluation per epoch
+    # serves both the accuracy target and early stopping
+    val_is_train = val_units is units and np.array_equal(val_labels, labels)
     params = init_model_params(spec, input_width(spec, units), seed)
     tensors = params.tensors()
     state = T.AdamState.for_params(tensors, spec.lr)
@@ -144,15 +148,24 @@ def train_model(spec, units, labels, config, seed,
             y = labels[sel].reshape(-1, 1)
             T.zero_grads(tensors)
             loss = T.bce(forward_model(spec, params, batch), y)
+            if not np.isfinite(loss.data[0, 0]):
+                raise ValueError(f"non-finite training loss in epoch {epoch}, "
+                                 f"batch {lo // config.batch_size + 1}")
             T.backward(loss)
             T.adam_step(state, tensors)
+        train_loss = None
         if config.target_train_acc is not None:
-            _, train_acc = evaluate_model(spec, params, units, labels)
+            train_loss, train_acc = evaluate_model(spec, params, units, labels)
             if train_acc >= config.target_train_acc:
                 best_snapshot = None  # current weights hit the target
                 break
         if val_units is not None:
-            val_loss, _ = evaluate_model(spec, params, val_units, val_labels)
+            if val_is_train and train_loss is not None:
+                val_loss = train_loss
+            else:
+                val_loss, _ = evaluate_model(spec, params, val_units, val_labels)
+            if not np.isfinite(val_loss):
+                raise ValueError(f"non-finite validation loss in epoch {epoch}")
             if val_loss < best_loss - 1e-12:
                 best_loss = val_loss
                 best_snapshot = [t.data.copy() for t in tensors]
@@ -242,11 +255,22 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
                              "not part of the training grid")
     # more folds than a class has graphs leaves test folds without that
     # class, or empty
-    smallest = min(np.unique(labels, return_counts=True)[1], default=0)
+    classes, counts = np.unique(labels, return_counts=True)
+    smallest = min(counts, default=0)
     if not 2 <= config.folds <= smallest:
         raise ValueError(f"cannot split into {config.folds} stratified folds: "
                          f"need at least 2 and at most the smallest class "
                          f"count ({smallest})")
+    # a training fold keeps all but ceil(count / folds) graphs of a class,
+    # and the inner holdout takes at least one of them
+    for cls, count in zip(classes, counts):
+        kept = count - -(-count // config.folds)
+        held = max(1, int(round(config.holdout * kept)))
+        if kept <= held:
+            raise ValueError(f"class {cls} has only {count} graphs: with "
+                             f"{config.folds} folds a training fold keeps "
+                             f"{kept} and the holdout takes {held}, leaving "
+                             "none to train on")
     folds = stratified_folds(labels, config.folds, np.random.default_rng(config.seed))
     # units are prepared once and shipped to the workers
     fold_task = partial(_run_fold, _unit_cache(grid, graphs), labels, grid,

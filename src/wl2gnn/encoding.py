@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import GraphError, graph_power
+from .tensor import ScatterIndex
 
 _MAGIC = b"WL2E"
 _VERSION = 1
@@ -57,6 +59,18 @@ class Wl2Encoding:
     @property
     def n_graphs(self):
         return self.graph_offsets.shape[0]
+
+    @cached_property
+    def scatter_indices(self):
+        """ref_l, ref_g1 and ref_g2 as `ScatterIndex`es: every layer run
+        on this encoding shares their scatter plans, which go with it."""
+        return (ScatterIndex(self.ref_l), ScatterIndex(self.ref_g1),
+                ScatterIndex(self.ref_g2))
+
+    @cached_property
+    def segment_index(self):
+        """`row_segments()` as a `ScatterIndex`, for pooling."""
+        return ScatterIndex(self.row_segments())
 
     def row_segments(self):
         """Graph id per feature row, for pooling batched outputs."""

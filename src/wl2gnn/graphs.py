@@ -266,14 +266,10 @@ class TriangleConfig:
 
 
 def _monochromatic_triangles(adj_matrix, color_ids):
-    total = 0
-    for c in (0, 1):
-        idx = np.flatnonzero(color_ids == c)
-        if len(idx) < 3:
-            continue
-        sub = adj_matrix[np.ix_(idx, idx)]
-        total += int(np.round(np.trace(sub @ sub @ sub))) // 6
-    return total
+    """Triangles whose three vertices share a color: trace(M^3) / 6 on
+    the adjacency M restricted to same-colored pairs."""
+    same = adj_matrix * (color_ids[:, None] == color_ids[None, :])
+    return int(np.round(np.sum((same @ same) * same))) // 6
 
 
 def _sample_triangle_graph(rng, n, n_a, m_target, planted, pair_i, pair_j):
@@ -282,23 +278,27 @@ def _sample_triangle_graph(rng, n, n_a, m_target, planted, pair_i, pair_j):
     planted_pool = np.flatnonzero(colors == planted)
     tri = rng.choice(planted_pool, size=3, replace=False)
     pick = rng.choice(len(pair_i), size=m_target, replace=False)
+    pick_i, pick_j = pair_i[pick], pair_j[pick]
     adj = np.zeros((n, n), dtype=np.float64)
-    adj[pair_i[pick], pair_j[pick]] = 1.0
-    adj[pair_j[pick], pair_i[pick]] = 1.0
+    adj[pick_i, pick_j] = 1.0
+    adj[pick_j, pick_i] = 1.0
     tri_pairs = [(min(a, b), max(a, b)) for a, b in
                  ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))]
     missing = [(a, b) for a, b in tri_pairs if adj[a, b] == 0.0]
     if missing:
-        # plant, then drop as many non-triangle edges to keep the count
-        others = [(a, b) for a, b in zip(pair_i[pick], pair_j[pick])
-                  if (min(a, b), max(a, b)) not in tri_pairs]
-        if len(others) < len(missing):
+        # plant, then drop as many non-triangle edges to keep the count;
+        # picked pairs have i < j, like the triangle's
+        on_tri = np.zeros(len(pick), dtype=bool)
+        for a, b in tri_pairs:
+            on_tri |= (pick_i == a) & (pick_j == b)
+        others_i, others_j = pick_i[~on_tri], pick_j[~on_tri]
+        if len(others_i) < len(missing):
             return None
         for a, b in missing:
             adj[a, b] = adj[b, a] = 1.0
-        for k in rng.choice(len(others), size=len(missing), replace=False):
-            a, b = others[k]
-            adj[a, b] = adj[b, a] = 0.0
+        drop = rng.choice(len(others_i), size=len(missing), replace=False)
+        adj[others_i[drop], others_j[drop]] = 0.0
+        adj[others_j[drop], others_i[drop]] = 0.0
     if _monochromatic_triangles(adj, colors) != 1:
         return None
     ii, jj = np.nonzero(np.triu(adj, 1))

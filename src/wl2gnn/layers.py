@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,13 +98,14 @@ def wl2_conv(enc, z, params):
     transform, the activated pairwise sum, one scatter-sum back onto the
     target rows, then the gated combination.
     """
+    ref_l, ref_g1, ref_g2 = enc.scatter_indices
     z_l = T.matmul(z, params.w_l)
     z_f = T.matmul(z, params.w_f)
     z_g = T.matmul(z, params.w_g)
-    x1 = T.gather(z_g, enc.ref_g1)
-    x2 = T.gather(z_g, enc.ref_g2)
+    x1 = T.gather(z_g, ref_g1)
+    x2 = T.gather(z_g, ref_g2)
     x = ACTIVATIONS[params.act_gamma](T.add(x1, x2))
-    z_sum = T.scatter_sum(x, enc.ref_l, enc.m)
+    z_sum = T.scatter_sum(x, ref_l, enc.m)
     return ACTIVATIONS[params.act](T.add(z_l, T.hadamard(z_f, z_sum)))
 
 
@@ -167,7 +169,7 @@ def _neighbor_sum(z, src, dst, n):
 def gin_layer(batch, z, params):
     """MLP((1 + eps) z[v] + sum of neighbor features) on a `VertexBatch`."""
     agg = T.add(T.scale(z, 1.0 + params.eps),
-                _neighbor_sum(z, batch.src, batch.dst, batch.n))
+                _neighbor_sum(z, *batch.neighbor_indices, batch.n))
     return params.mlp.apply(agg)
 
 
@@ -196,7 +198,7 @@ def gnn2_layer(batch, z, params):
 
     Rows follow the encoding order at radius 1: loops, then edges.
     """
-    agg = _neighbor_sum(z, batch.src, batch.dst, batch.enc.m)
+    agg = _neighbor_sum(z, *batch.neighbor_indices, batch.enc.m)
     return ACTIVATIONS[params.act](T.add(T.matmul(z, params.w),
                                          T.matmul(agg, params.w_g)))
 
@@ -213,16 +215,19 @@ def pool_segments(z, mode, seg, n_graphs, scores=None):
 
     weighted_mean weighs rows by a softmax over per-row scores within
     each graph (scores is an (m, 1) tensor, max-subtracted for
-    stability before exponentiation).
+    stability before exponentiation). `seg` is an int array or a
+    `ScatterIndex`.
     """
+    index = T.as_index(seg)
+    seg = index.idx
     if mode == "sum":
-        return T.scatter_sum(z, seg, n_graphs)
+        return T.scatter_sum(z, index, n_graphs)
     if mode == "mean":
         counts = np.bincount(seg, minlength=n_graphs).astype(np.float64)
         if np.any(counts == 0):
             raise ValueError("cannot mean-pool an empty graph segment")
         inv = constant((1.0 / counts).reshape(-1, 1))
-        return T.hadamard(T.scatter_sum(z, seg, n_graphs), inv)
+        return T.hadamard(T.scatter_sum(z, index, n_graphs), inv)
     if mode == "min":
         return T.segment_min(z, seg, n_graphs)
     if mode == "weighted_mean":
@@ -232,8 +237,8 @@ def pool_segments(z, mode, seg, n_graphs, scores=None):
         np.maximum.at(seg_max, seg, scores.data[:, 0])
         shifted = T.add(scores, constant(-seg_max[seg].reshape(-1, 1)))
         e = T.exp(shifted)
-        denom = T.scatter_sum(e, seg, n_graphs)
-        num = T.scatter_sum(T.hadamard(z, e), seg, n_graphs)
+        denom = T.scatter_sum(e, index, n_graphs)
+        num = T.scatter_sum(T.hadamard(z, e), index, n_graphs)
         return T.hadamard(num, T.reciprocal(denom))
     raise ValueError(f"unknown pooling mode {mode!r}")
 
@@ -318,6 +323,12 @@ def parse_model_spec(text):
 # batched model inputs
 
 
+def _neighbor_indices(batch):
+    """src and dst as `ScatterIndex`es, whose scatter plans every layer
+    run on the batch shares."""
+    return T.ScatterIndex(batch.src), T.ScatterIndex(batch.dst)
+
+
 @dataclass
 class VertexBatch:
     vertex_features: np.ndarray
@@ -329,6 +340,15 @@ class VertexBatch:
     @property
     def n(self):
         return self.vertex_features.shape[0]
+
+    @cached_property
+    def neighbor_indices(self):
+        return _neighbor_indices(self)
+
+    @cached_property
+    def segment_index(self):
+        """`seg` as a `ScatterIndex`, for pooling."""
+        return T.ScatterIndex(self.seg)
 
 
 def vertex_batch(graphs):
@@ -351,6 +371,10 @@ class EdgeBatch:
     enc: Wl2Encoding
     src: np.ndarray
     dst: np.ndarray
+
+    @cached_property
+    def neighbor_indices(self):
+        return _neighbor_indices(self)
 
 
 def edge_batch_unit(g):
@@ -423,7 +447,7 @@ class Family:
     features: Callable    # unit or batch -> initial feature rows
     init: Callable        # (spec, d_in, d_out, rng) -> one conv's parameters
     conv: Callable        # (batch, rows, conv parameters) -> next rows
-    segments: Callable    # batch -> (graph id of each row, n_graphs)
+    segments: Callable    # batch -> (ScatterIndex of row graphs, n_graphs)
     gamma: Callable       # batch -> reference triples, 0 for vertex models
     uses_radius: bool     # whether spec.r changes the prepared units
 
@@ -432,7 +456,8 @@ class Family:
 # single dense layers, so it never looks at the edges
 _VERTEX_INPUTS = dict(prepare=lambda spec, g: g, combine=vertex_batch,
                       features=lambda batch: batch.vertex_features,
-                      segments=lambda batch: (batch.seg, batch.n_graphs),
+                      segments=lambda batch: (batch.segment_index,
+                                              batch.n_graphs),
                       gamma=lambda batch: 0, uses_radius=False)
 
 # the lambdas around encode, combine_encodings and wl2_conv look them up
@@ -444,7 +469,7 @@ FAMILIES = {
                   init=lambda spec, d_in, d_out, rng: Wl2LayerParams(
                       *_glorot(rng, d_in, d_out, 3), spec.act, spec.act),
                   conv=lambda enc, z, params: wl2_conv(enc, z, params),
-                  segments=lambda enc: (enc.row_segments(), enc.n_graphs),
+                  segments=lambda enc: (enc.segment_index, enc.n_graphs),
                   gamma=lambda enc: enc.gamma, uses_radius=True),
     "gin": Family(init=lambda spec, d_in, d_out, rng: GinLayerParams(
                       GIN_EPS, _make_mlp(rng, [d_in, spec.d, d_out], spec.act,
@@ -456,7 +481,7 @@ FAMILIES = {
                    init=lambda spec, d_in, d_out, rng: Gnn2LayerParams(
                        *_glorot(rng, d_in, d_out, 2), spec.act),
                    conv=gnn2_layer,
-                   segments=lambda batch: (batch.enc.row_segments(),
+                   segments=lambda batch: (batch.enc.segment_index,
                                            batch.enc.n_graphs),
                    gamma=lambda batch: batch.enc.gamma, uses_radius=False),
     "baseline": Family(init=lambda spec, d_in, d_out, rng: _make_mlp(

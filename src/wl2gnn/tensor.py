@@ -9,6 +9,19 @@ The op set is intentionally small: dense products and sums, elementwise
 activations, row gather / scatter-sum (adjoints of each other), and a
 numerically stable binary cross-entropy on logits. Everything else in
 the package is composed from these.
+
+Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
+`ScatterIndex`, which builds a rank-slot plan on its first sum: a stable
+argsort of the index plus the number of sources per target. Slot s
+holds every target with more than s sources together with its s-th
+source, so the sum is one vectorised `out[rows] += values[src]` per
+slot, adding in index order and hence equal bit for bit to
+`np.add.at`. An index whose busiest target takes more than 1/64 of its
+entries (the pooling segments of a small batch, hub vertices) would
+need many thin slots and keeps `np.add.at`. Batches hold their indices
+as `ScatterIndex`es, so every layer of a forward and backward pass
+shares one plan per index; a plain array is wrapped afresh on each
+call.
 """
 
 from __future__ import annotations
@@ -103,38 +116,90 @@ def scale(a, alpha):
     return _node(alpha * a.data, (a,), bw)
 
 
+# a scatter uses its rank-slot plan only when the busiest target takes at
+# most 1/SLOT_WIDTH of the entries, so that slots are wide on average
+SLOT_WIDTH = 64
+
+
+def _rank_slots(idx):
+    """The rank-slot plan of an index: a list of (targets, sources)
+    pairs, slot s pairing each target that has more than s sources with
+    its s-th source in index order. None when the plan would have more
+    than len(idx) / SLOT_WIDTH slots, or for an empty index."""
+    if idx.size == 0:
+        return None
+    counts = np.bincount(idx)
+    if counts.max() * SLOT_WIDTH > idx.size:
+        return None
+    order = np.argsort(idx, kind="stable")
+    starts = np.cumsum(counts) - counts
+    slots = []
+    for s in range(counts.max()):
+        rows = np.flatnonzero(counts > s)
+        slots.append((rows, order[starts[rows] + s]))
+    return slots
+
+
+class ScatterIndex:
+    """A row index whose scatter plan is built by its first sum and
+    reused by every later one."""
+    __slots__ = ("idx", "_slots", "_planned")
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self._slots = None
+        self._planned = False
+
+    def __len__(self):
+        return self.idx.shape[0]
+
+    def sum_rows(self, values, m):
+        """(m, d) array whose row t sums the rows of `values` at the
+        positions where the index is t; bit for bit `np.add.at`."""
+        if not self._planned:
+            self._slots, self._planned = _rank_slots(self.idx), True
+        if self._slots is None:
+            out = np.zeros((m, values.shape[1]))
+            np.add.at(out, self.idx, values)
+            return out
+        (rows, src), rest = self._slots[0], self._slots[1:]
+        if len(rows) == m:
+            out = values[src]
+        else:
+            out = np.zeros((m, values.shape[1]))
+            out[rows] = values[src]
+        for rows, src in rest:
+            out[rows] += values[src]
+        # np.add.at adds the first source to +0.0, turning -0.0 into +0.0
+        out += 0.0
+        return out
+
+
+def as_index(idx):
+    """`idx` itself if it is a `ScatterIndex`, else a new one around it."""
+    return idx if isinstance(idx, ScatterIndex) else ScatterIndex(idx)
+
+
 def gather(z, idx):
-    """Rows of z at the given indices; adjoint scatters back."""
-    idx = np.asarray(idx, dtype=np.int64)
+    """Rows of z at the given indices (an int array or a `ScatterIndex`);
+    the adjoint scatters back."""
+    index = as_index(idx)
 
     def bw(g):
-        z._accumulate(_segment_add(g, idx, z.shape[0]))
-    return _node(z.data[idx], (z,), bw)
-
-
-def _segment_add(values, idx, m):
-    out = np.zeros((m, values.shape[1]))
-    if idx.size == 0:
-        return out
-    if np.all(idx[1:] >= idx[:-1]):
-        # sorted indices: one reduceat pass beats elementwise add.at
-        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-        out[idx[starts]] = np.add.reduceat(values, starts, axis=0)
-    else:
-        np.add.at(out, idx, values)
-    return out
+        z._accumulate(index.sum_rows(g, z.shape[0]))
+    return _node(z.data[index.idx], (z,), bw)
 
 
 def scatter_sum(x, idx, m):
-    """Sums rows of x into an (m, d) output at the given indices; rows
-    that receive nothing stay zero. Adjoint of `gather`.
+    """Sums rows of x into an (m, d) output at the given indices (an int
+    array or a `ScatterIndex`); rows that receive nothing stay zero.
+    Adjoint of `gather`.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _segment_add(x.data, idx, m)
+    index = as_index(idx)
 
     def bw(g):
-        x._accumulate(g[idx])
-    return _node(out, (x,), bw)
+        x._accumulate(g[index.idx])
+    return _node(index.sum_rows(x.data, m), (x,), bw)
 
 
 def segment_min(x, seg, n_segments):
@@ -172,15 +237,24 @@ def relu(a):
 
 
 def _sigmoid(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|), in
+    place on two buffers."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def logistic(a):
     out_data = _sigmoid(a.data)
 
     def bw(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
+        grad = g * out_data
+        grad *= 1.0 - out_data
+        a._accumulate(grad)
     return _node(out_data, (a,), bw)
 
 

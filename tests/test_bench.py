@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wl2gnn import bench
 from wl2gnn.bench import (
     DEFAULT_RADII,
     FoldResult,
@@ -112,6 +113,42 @@ def test_train_model_target_accuracy_stops_early():
     assert acc >= 0.9  # the stopping weights are the returned weights
 
 
+def test_train_model_rejects_non_finite_losses():
+    graphs, labels = separable_dataset(8)
+    config = TrainConfig(epochs=5, patience=5, batch_size=4)
+    bad = [constant_graph(np.nan)] + graphs[1:]
+    with pytest.raises(ValueError, match=r"training loss in epoch 1, batch \d"):
+        train_model(BASELINE, prepare_units(BASELINE, bad), labels, config,
+                    seed=0)
+    units = prepare_units(BASELINE, graphs)
+    with pytest.raises(ValueError, match="validation loss in epoch 1"):
+        train_model(BASELINE, units, labels, config, seed=0,
+                    val_units=prepare_units(BASELINE, bad), val_labels=labels)
+
+
+def test_train_model_evaluates_training_set_once_per_epoch(monkeypatch):
+    # as in the triangle experiment: the training set is the validation
+    # set and an accuracy target is set
+    graphs, labels = separable_dataset()
+    units = prepare_units(BASELINE, graphs)
+    config = TrainConfig(epochs=6, patience=2, batch_size=8,
+                         target_train_acc=1.1, lr_patience=1)
+    separate = train_model(BASELINE, units, labels, config, seed=3,
+                           val_units=list(units), val_labels=labels)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate_model(*args, **kwargs)
+    monkeypatch.setattr(bench, "evaluate_model", counting)
+    shared = train_model(BASELINE, units, labels, config, seed=3,
+                         val_units=units, val_labels=labels)
+    assert len(calls) == shared.epochs
+    assert shared.epochs == separate.epochs
+    for a, b in zip(shared.params.tensors(), separate.params.tensors()):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_train_model_patience_stops_on_plateau():
     # identical graphs with split labels: loss flatlines at ln 2
     graphs = [constant_graph(1.0) for _ in range(8)]
@@ -207,6 +244,26 @@ def test_cli_cv_rejects_more_folds_than_a_class_has(tmp_path, capsys):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "smallest class count (4)" in err[0]
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_run_cv_rejects_classes_the_holdout_empties():
+    # 2 + 2 graphs in 2 folds: each training fold keeps one graph per
+    # class, and the inner holdout takes it
+    graphs, labels = separable_dataset(4)
+    with pytest.raises(ValueError, match="class 0 has only 2 graphs"):
+        run_cv(graphs, labels, [BASELINE], quick_config(folds=2))
+
+
+def test_cli_cv_rejects_classes_the_holdout_empties(tmp_path, capsys):
+    graphs, labels = separable_dataset(4)
+    save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
+    code = main(["cv", "--dataset", str(tmp_path / "TOY"), "--folds", "2",
+                 "--out", str(tmp_path / "results.csv")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "class 0 has only 2 graphs" in err[0]
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -18,6 +18,8 @@ from wl2gnn.graphs import (
     graph_power,
     load_tu_dataset,
     save_tu_dataset,
+    _monochromatic_triangles,
+    _sample_triangle_graph,
 )
 
 
@@ -314,6 +316,69 @@ def test_triangle_dataset_unbalanced_mode_keeps_orphans():
         11, TriangleConfig(balanced_cells=True, **kw))
     assert len(loose) > len(strict)
     assert any("fewer than 3 vertices" in w for w in warnings)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=9).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+def test_monochromatic_triangle_count_matches_enumeration(case):
+    mask, colors = case
+    n = len(colors)
+    pairs = list(itertools.combinations(range(n), 2))
+    adj = np.zeros((n, n))
+    for (i, j), keep in zip(pairs, mask):
+        adj[i, j] = adj[j, i] = float(keep)
+    brute = sum(1 for a, b, c in itertools.combinations(range(n), 3)
+                if colors[a] == colors[b] == colors[c]
+                and adj[a, b] and adj[b, c] and adj[a, c])
+    assert _monochromatic_triangles(adj, np.asarray(colors)) == brute
+
+
+def loop_triangle_sample(rng, n, n_a, m_target, planted, pair_i, pair_j):
+    """The triangle sampler in loop form, drawing the same random numbers
+    in the same order: the reference for the sampler's RNG stream."""
+    colors = np.ones(n, dtype=np.int64)
+    colors[rng.choice(n, size=n_a, replace=False)] = 0
+    tri = rng.choice(np.flatnonzero(colors == planted), size=3, replace=False)
+    pick = rng.choice(len(pair_i), size=m_target, replace=False)
+    edges = {(int(pair_i[k]), int(pair_j[k])) for k in pick}
+    tri_pairs = [tuple(sorted((int(a), int(b)))) for a, b in
+                 ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))]
+    missing = [p for p in tri_pairs if p not in edges]
+    if missing:
+        others = [(int(a), int(b)) for a, b in zip(pair_i[pick], pair_j[pick])
+                  if (a, b) not in tri_pairs]
+        if len(others) < len(missing):
+            return None
+        edges |= set(missing)
+        for k in rng.choice(len(others), size=len(missing), replace=False):
+            edges.discard(others[k])
+    mono = sum(1 for a, b, c in itertools.combinations(range(n), 3)
+               if colors[a] == colors[b] == colors[c]
+               and {(a, b), (b, c), (a, c)} <= edges)
+    return (tuple(sorted(edges)), tuple(colors.tolist())) if mono == 1 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 12),
+       st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([0.25, 0.5]),
+       st.integers(0, 1))
+def test_triangle_sampler_matches_loop_form(seed, n, prop, density, planted):
+    n_a = int(round(prop * n))
+    if min(n_a, n - n_a) < 3:
+        return
+    m_target = int(round(density * n * n / 2))
+    pair_i, pair_j = np.triu_indices(n, 1)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        g = _sample_triangle_graph(rng, n, n_a, m_target, planted,
+                                   pair_i, pair_j)
+        want = loop_triangle_sample(ref_rng, n, n_a, m_target, planted,
+                                    pair_i, pair_j)
+        assert (None if g is None else (g.edges, g.vertex_labels)) == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_triangle_dataset_edge_budget_follows_density():

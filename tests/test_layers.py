@@ -376,6 +376,30 @@ def test_forward_model_batch_matches_single(spec):
         assert abs(batched[k, 0] - logit) <= 1e-10
 
 
+@pytest.mark.parametrize("layer", ["wl2", "gin", "gnn2"])
+def test_batch_builds_each_scatter_plan_once(layer, monkeypatch):
+    built, original = [], T._rank_slots
+
+    def counting(idx):
+        built.append(idx)
+        return original(idx)
+    monkeypatch.setattr(T, "_rank_slots", counting)
+    spec = ModelSpec(layer=layer, t=3, d=4, r=2, pool="mean", act="relu")
+    gs = [featured(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
+                   seed=s) for s in range(3)]
+    units = prepare_units(spec, gs)
+    params = init_model_params(spec, input_width(spec, units), seed=1)
+    batch = combine_units(spec, units)
+    T.backward(T.sum_all(forward_model(spec, params, batch)))
+    indices = (batch.scatter_indices if layer == "wl2"
+               else batch.neighbor_indices)
+    pooling, _ = FAMILIES[layer].segments(batch)
+    # every layer, forward and backward, and the pooling sum through the
+    # batch's plans
+    for index in (*indices, pooling):
+        assert sum(idx is index.idx for idx in built) == 1
+
+
 def test_end_to_end_gradients_wl2():
     g1, g2 = cycle_graph(5), complete_graph(4)
     spec = ModelSpec(layer="wl2", t=2, d=3, r=2, pool="weighted_mean",

@@ -123,6 +123,65 @@ def test_scatter_backward_is_gather():
     assert np.array_equal(x.grad, w[idx])
 
 
+def _bits(a):
+    return a.view(np.int64)
+
+
+def _scatter_case(seed, side, sort, d):
+    """An index on the requested side of the slot/fallback choice, its
+    output row count and order-sensitive values (mixed magnitudes, signed
+    zeros)."""
+    rng = np.random.default_rng(seed)
+    if side == "slots":
+        kmax = int(rng.integers(1, 4))
+        n = T.SLOT_WIDTH * kmax + int(rng.integers(0, 100))
+        m = n // kmax + 1 + int(rng.integers(0, 5))
+        # targets are a random subset of the rows, so some stay unused
+        targets = np.sort(rng.choice(m, size=n // kmax + 1, replace=False))
+        idx = targets[rng.permutation(np.repeat(np.arange(len(targets)),
+                                                kmax))[:n]]
+    else:
+        n = int(rng.integers(0, 200))
+        m = int(rng.integers(1, 10))
+        idx = rng.integers(0, m, size=n)
+    if sort:
+        idx = np.sort(idx)
+    values = rng.standard_normal((len(idx), d)) * 10.0 ** rng.integers(
+        -8, 9, size=(len(idx), d))
+    values[rng.random(values.shape) < 0.05] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    return idx, m, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["slots", "fallback"]),
+       st.booleans(), st.integers(1, 3))
+def test_scatter_sum_and_gather_adjoint_match_add_at_bitwise(seed, side,
+                                                             sort, d):
+    idx, m, values = _scatter_case(seed, side, sort, d)
+    planned = T._rank_slots(idx)
+    assert (planned is None) == (side == "fallback")
+    expected = np.zeros((m, d))
+    np.add.at(expected, idx, values)
+    # a plain array is planned per call; a ScatterIndex plans for the
+    # scatter and reuses the plan in the gather's adjoint
+    for index in (idx, T.ScatterIndex(idx)):
+        out = T.scatter_sum(T.constant(values), index, m).data
+        assert np.array_equal(_bits(out), _bits(expected))
+        z = leaf(np.zeros((m, d)))
+        T.gather(z, index)._backward(values)
+        assert np.array_equal(_bits(z.grad), _bits(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_sigmoid_matches_two_branch_form_bitwise(x):
+    e = np.exp(-np.abs(x))
+    expected = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert np.array_equal(_bits(T._sigmoid(x)), _bits(expected))
+
+
 def test_segment_min_routes_gradient_to_argmin_only():
     x = leaf([[3.0], [2.0], [7.0]])
     out = T.sum_all(T.segment_min(x, np.array([0, 0, 1]), 2))
