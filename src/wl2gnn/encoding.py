@@ -17,6 +17,11 @@ a self-loop target the two neighbor pointers name the same undirected
 row twice. Triples are grouped by target row; within a group the common
 neighbors are ordered endpoints first (i, then j), then the remaining
 vertices ascending.
+
+`encode` builds all of this with array operations on the power graph's
+n x n boolean adjacency and an n x n table of row numbers, so its memory
+is quadratic in the vertex count of one graph. `load_encoding` checks a
+dump with `Wl2Encoding.validate` before returning it.
 """
 
 from __future__ import annotations
@@ -83,55 +88,83 @@ class Wl2Encoding:
         return list(zip(self.ref_l.tolist(), self.ref_g1.tolist(),
                         self.ref_g2.tolist()))
 
-
-def _row_order(power):
-    loops = [(v, v) for v in range(power.n)]
-    edges = sorted(e for e in power.edges if e[0] != e[1])
-    return loops + edges
+    def validate(self):
+        """Raises `ValueError` naming the first field that breaks the
+        layout `encode` and `combine_encodings` produce: pointers in
+        [0, m), `ref_l` non-decreasing, graph offsets contiguous and
+        summing to m rows and gamma triples, every row (i, j) with
+        i <= j, a positive radius. Returns the encoding."""
+        m, gamma = self.m, self.gamma
+        if self.radius < 1:
+            raise ValueError(f"radius: {self.radius} is not positive")
+        for name in ("ref_l", "ref_g1", "ref_g2"):
+            col = getattr(self, name)
+            if col.shape != (gamma,):
+                raise ValueError(f"{name}: {col.shape[0]} pointers, "
+                                 f"expected {gamma}")
+            if gamma and (col.min() < 0 or col.max() >= m):
+                raise ValueError(f"{name}: pointer outside [0, {m})")
+        if np.any(self.ref_l[1:] < self.ref_l[:-1]):
+            raise ValueError("ref_l: target rows decrease")
+        offsets = self.graph_offsets
+        for col, total, what in ((0, m, "rows"), (2, gamma, "triples")):
+            starts, counts = offsets[:, col], offsets[:, col + 1]
+            if (np.any(counts < 0) or counts.sum() != total
+                    or np.any(starts != np.cumsum(counts) - counts)):
+                raise ValueError(f"graph_offsets: {what} are not contiguous "
+                                 f"or do not sum to {total}")
+        if self.rows.shape != (m, 2) or np.any(self.rows[:, 0] > self.rows[:, 1]):
+            raise ValueError("rows: not m vertex pairs (i, j) with i <= j")
+        return self
 
 
 def encode(g, r):
     """Encodes one graph against its r-th power."""
     power = graph_power(g, r)
-    order = _row_order(power)
-    row_of = {e: k for k, e in enumerate(order)}
+    n = power.n
+    edges = np.asarray(power.edges, dtype=np.int64).reshape(-1, 2)
+    # adj[i, j]: (i, j) is an edge of the power graph; a vertex is its own
+    # neighbor via its self-loop
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
+    adj[edges[:, 1], edges[:, 0]] = True
+    loose = np.flatnonzero(~adj.diagonal())
+    if loose.size:
+        v = int(loose[0])
+        raise GraphError(f"corrupt power graph: endpoints of {(v, v)} "
+                         "missing from their own neighborhood")
+    loops = np.repeat(np.arange(n, dtype=np.int64), 2).reshape(n, 2)
+    order = np.vstack([loops, edges[edges[:, 0] != edges[:, 1]]])
     m = len(order)
+    row_of = np.zeros((n, n), dtype=np.int64)
+    row_of[order[:, 0], order[:, 1]] = np.arange(m)
+    row_of[order[:, 1], order[:, 0]] = np.arange(m)
 
     dv = g.vertex_features.shape[1]
     de = g.edge_features.shape[1]
-    width = dv + (de if de else 1)
-    z0 = np.zeros((m, width))
-    for k, (i, j) in enumerate(order):
-        if i == j:
-            z0[k, :dv] = g.vertex_features[i]
-        is_base_edge = i != j and g.has_edge(i, j)
-        if de:
-            if is_base_edge:
-                z0[k, dv:] = g.edge_features[g.edge_id(i, j)]
-        else:
-            z0[k, dv] = 1.0 if (i == j or is_base_edge) else 0.0
+    z0 = np.zeros((m, dv + (de if de else 1)))
+    z0[:n, :dv] = g.vertex_features
+    base = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    proper = np.flatnonzero(base[:, 0] != base[:, 1])
+    base_rows = row_of[base[proper, 0], base[proper, 1]]
+    if de:
+        z0[base_rows, dv:] = g.edge_features[proper]
+    else:
+        z0[:n, dv] = 1.0
+        z0[base_rows, dv] = 1.0
 
-    adj = power.adjacency  # includes the vertex itself via its self-loop
-    ref_l, ref_g1, ref_g2 = [], [], []
-    for k, (i, j) in enumerate(order):
-        common = adj[i] & adj[j]
-        if i not in common or j not in common:
-            raise GraphError(f"corrupt power graph: endpoints of {(i, j)} "
-                             "missing from their own neighborhood")
-        ordered = [i] + ([j] if j != i else []) + sorted(common - {i, j})
-        for l in ordered:
-            ref_l.append(k)
-            ref_g1.append(row_of[(min(i, l), max(i, l))])
-            ref_g2.append(row_of[(min(l, j), max(l, j))])
+    # one triple per row k = (i, j) and common neighbor l, grouped by row;
+    # within a row l = i first, then l = j, then the others ascending
+    ref_l, l = np.nonzero(adj[order[:, 0]] & adj[order[:, 1]])
+    i, j = order[ref_l, 0], order[ref_l, 1]
+    rank = np.where(l == i, 0, np.where(l == j, 1, 2))
+    keep = np.lexsort((l, rank, ref_l))
+    ref_l, l, i, j = ref_l[keep], l[keep], i[keep], j[keep]
 
     offsets = np.asarray([[0, m, 0, len(ref_l)]], dtype=np.int64)
-    return Wl2Encoding(z0=z0,
-                       ref_l=np.asarray(ref_l, dtype=np.int64),
-                       ref_g1=np.asarray(ref_g1, dtype=np.int64),
-                       ref_g2=np.asarray(ref_g2, dtype=np.int64),
-                       rows=np.asarray(order, dtype=np.int64).reshape(m, 2),
-                       graph_offsets=offsets,
-                       radius=r)
+    return Wl2Encoding(z0=z0, ref_l=ref_l.astype(np.int64, copy=False),
+                       ref_g1=row_of[i, l], ref_g2=row_of[l, j],
+                       rows=order, graph_offsets=offsets, radius=r)
 
 
 def combine_encodings(encodings):
@@ -197,13 +230,15 @@ def load_encoding(path):
     buf = io.BytesIO(data)
     if buf.read(4) != _MAGIC:
         raise ValueError(f"{path}: not an encoding dump")
-    version, m, gamma, width, radius, n_graphs = np.frombuffer(
-        buf.read(6 * 8), dtype="<i8")
+    header = np.frombuffer(buf.read(6 * 8), dtype="<i8")
+    if header.shape[0] != 6:
+        raise ValueError(f"{path}: truncated dump")
+    version, m, gamma, width, radius, n_graphs = (int(v) for v in header)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
 
     def take(count, dtype):
-        arr = np.frombuffer(buf.read(count * 8), dtype=dtype)
+        arr = np.frombuffer(buf.read(max(count, 0) * 8), dtype=dtype)
         if arr.shape[0] != count:
             raise ValueError(f"{path}: truncated dump")
         return arr
@@ -216,5 +251,9 @@ def load_encoding(path):
     ref_g2 = take(gamma, "<i8").astype(np.int64)
     if buf.read(1):
         raise ValueError(f"{path}: trailing bytes after dump")
-    return Wl2Encoding(z0=z0, ref_l=ref_l, ref_g1=ref_g1, ref_g2=ref_g2,
-                       rows=rows, graph_offsets=offsets, radius=int(radius))
+    enc = Wl2Encoding(z0=z0, ref_l=ref_l, ref_g1=ref_g1, ref_g2=ref_g2,
+                      rows=rows, graph_offsets=offsets, radius=radius)
+    try:
+        return enc.validate()
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -94,18 +94,17 @@ class Wl2LayerParams:
 def wl2_conv(enc, z, params):
     """One pair convolution via the encoding's pointer columns.
 
-    Line order: the three dense products, two gathers of the neighbor
-    transform, the activated pairwise sum, one scatter-sum back onto the
-    target rows, then the gated combination.
+    Line order: the three dense products, the activated pairwise sums of
+    the neighbor transform scattered back onto the target rows (one
+    `pair_scatter` node, so no gamma-row array but its activated sums
+    stays alive for the reverse pass), then the gated combination.
     """
     ref_l, ref_g1, ref_g2 = enc.scatter_indices
     z_l = T.matmul(z, params.w_l)
     z_f = T.matmul(z, params.w_f)
     z_g = T.matmul(z, params.w_g)
-    x1 = T.gather(z_g, ref_g1)
-    x2 = T.gather(z_g, ref_g2)
-    x = ACTIVATIONS[params.act_gamma](T.add(x1, x2))
-    z_sum = T.scatter_sum(x, ref_l, enc.m)
+    z_sum = T.pair_scatter(z_g, ref_g1, ref_g2, ref_l, enc.m,
+                           params.act_gamma)
     return ACTIVATIONS[params.act](T.add(z_l, T.hadamard(z_f, z_sum)))
 
 

@@ -8,7 +8,15 @@ graph once in reverse topological order, summing adjoints over fan-out.
 The op set is intentionally small: dense products and sums, elementwise
 activations, row gather / scatter-sum (adjoints of each other), and a
 numerically stable binary cross-entropy on logits. Everything else in
-the package is composed from these.
+the package is composed from these, except the pair-message path of the
+pair convolution: `pair_scatter` computes
+`scatter_sum(act(gather(z, i1) + gather(z, i2)), target, m)` as one
+node with the same arithmetic in the same order, so it equals the
+composed ops bit for bit but keeps only the activated gamma-row array
+for its reverse pass, where the composition kept five. Each activation
+is one array-level pair (a forward, and an adjoint that works in place
+and reads only the output), shared by the standalone op and the fused
+node.
 
 Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
 `ScatterIndex`, which builds a rank-slot plan on its first sum: a stable
@@ -228,34 +236,54 @@ def segment_min(x, seg, n_segments):
     return _node(out, (x,), bw)
 
 
-def relu(a):
-    mask = a.data > 0
-
-    def bw(g):
-        a._accumulate(g * mask)
-    return _node(a.data * mask, (a,), bw)
-
-
 def _sigmoid(x):
     """1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|), in
-    place on two buffers."""
+    place on two buffers. The numerator max(e, x >= 0) is 1 where x >= 0
+    (as e <= 1) and e below, NaN included."""
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     return out
 
 
-def logistic(a):
-    out_data = _sigmoid(a.data)
+def _sigmoid_adjoint(g, y):
+    g *= y
+    g *= 1.0 - y
+    return g
 
-    def bw(g):
-        grad = g * out_data
-        grad *= 1.0 - out_data
-        a._accumulate(grad)
-    return _node(out_data, (a,), bw)
+
+def _relu_adjoint(g, y):
+    g *= y > 0
+    return g
+
+
+# activation name -> (forward, adjoint) on arrays: forward returns a new
+# array y; adjoint(g, y) turns the adjoint of y into the adjoint of the
+# input in place on g and returns it, reading only y
+_ACTIVATION_ARRAYS = {
+    "logistic": (_sigmoid, _sigmoid_adjoint),
+    "relu": (lambda x: x * (x > 0), _relu_adjoint),
+    "identity": (lambda x: x, lambda g, y: g),
+}
+
+
+def _activation(name):
+    forward, adjoint = _ACTIVATION_ARRAYS[name]
+
+    def op(a):
+        out_data = forward(a.data)
+
+        def bw(g):
+            a._accumulate(adjoint(g.copy(), out_data))
+        return _node(out_data, (a,), bw)
+    return op
+
+
+relu = _activation("relu")
+logistic = _activation("logistic")
 
 
 def identity(a):
@@ -263,6 +291,26 @@ def identity(a):
 
 
 ACTIVATIONS = {"logistic": logistic, "relu": relu, "identity": identity}
+
+
+def pair_scatter(z, idx1, idx2, target, m, act):
+    """`scatter_sum(act(gather(z, idx1) + gather(z, idx2)), target, m)`
+    as one node: the same arithmetic in the same order, bit for bit, but
+    only the activated (len(idx1), d) array is kept for the reverse
+    pass. Indices are int arrays or `ScatterIndex`es; `act` is a key of
+    `ACTIVATIONS`."""
+    forward, adjoint = _ACTIVATION_ARRAYS[act]
+    index1, index2, target = as_index(idx1), as_index(idx2), as_index(target)
+    x = z.data[index1.idx]
+    x += z.data[index2.idx]
+    y = forward(x)
+
+    def bw(g):
+        ga = adjoint(g[target.idx], y)
+        s = index1.sum_rows(ga, z.shape[0])
+        s += index2.sum_rows(ga, z.shape[0])
+        z._accumulate(s)
+    return _node(target.sum_rows(y, m), (z,), bw)
 
 
 def exp(a):
@@ -442,27 +490,47 @@ def save_tensors(named, path):
 
 
 def load_tensors(path):
+    """Reads a `save_tensors` checkpoint; every count, length and shape
+    is checked against the bytes left, and a corrupt file raises
+    `ValueError` naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint")
     pos = 4
-    count = int(np.frombuffer(data[pos:pos + 8], dtype="<i8")[0])
-    pos += 8
+
+    def ints(k, what):
+        nonlocal pos
+        if len(data) - pos < 8 * k:
+            raise ValueError(f"{path}: truncated checkpoint at {what}")
+        out = [int(v) for v in np.frombuffer(data, "<i8", k, pos)]
+        pos += 8 * k
+        return out
+
+    (count,) = ints(1, "the record count")
+    # a record takes at least 24 bytes: its name length and shape
+    if not 0 <= 24 * count <= len(data) - pos:
+        raise ValueError(f"{path}: record count {count} does not fit the file")
     out = {}
     for _ in range(count):
-        name_len = int(np.frombuffer(data[pos:pos + 8], dtype="<i8")[0])
-        pos += 8
-        name = data[pos:pos + name_len].decode("utf-8")
+        (name_len,) = ints(1, "a name length")
+        if not 0 <= name_len <= len(data) - pos:
+            raise ValueError(f"{path}: name length {name_len} does not fit "
+                             "the file")
+        try:
+            name = data[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: a tensor name is not UTF-8") from None
+        if name in out:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
         pos += name_len
-        rows, cols = np.frombuffer(data[pos:pos + 16], dtype="<i8")
-        pos += 16
-        size = int(rows) * int(cols) * 8
-        arr = np.frombuffer(data[pos:pos + size], dtype="<f8")
-        if arr.size != rows * cols:
-            raise ValueError(f"{path}: truncated checkpoint at {name!r}")
-        pos += size
-        out[name] = arr.reshape(int(rows), int(cols)).astype(np.float64)
+        rows, cols = ints(2, f"the shape of {name!r}")
+        if rows < 0 or cols < 0 or 8 * rows * cols > len(data) - pos:
+            raise ValueError(f"{path}: shape ({rows}, {cols}) of {name!r} "
+                             "does not fit the file")
+        arr = np.frombuffer(data, "<f8", rows * cols, pos)
+        pos += 8 * rows * cols
+        out[name] = arr.reshape(rows, cols).astype(np.float64)
     if pos != len(data):
         raise ValueError(f"{path}: trailing bytes after checkpoint")
     return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wl2gnn.encoding as encoding
 from wl2gnn.encoding import (
     Wl2Encoding,
     combine_encodings,
@@ -262,6 +263,83 @@ def test_random_graph_gamma_oracle_r2():
     assert enc.gamma == sum(len(v) for v in per_edge.values())
 
 
+def encode_loop_form(g, r):
+    """`encode` written per row and per triple with Python sets, the
+    reference for the array form."""
+    power = graph_power(g, r)
+    order = [(v, v) for v in range(power.n)]
+    order += sorted(e for e in power.edges if e[0] != e[1])
+    row_of = {e: k for k, e in enumerate(order)}
+    m = len(order)
+    dv = g.vertex_features.shape[1]
+    de = g.edge_features.shape[1]
+    z0 = np.zeros((m, dv + (de if de else 1)))
+    for k, (i, j) in enumerate(order):
+        if i == j:
+            z0[k, :dv] = g.vertex_features[i]
+        is_base_edge = i != j and g.has_edge(i, j)
+        if de:
+            if is_base_edge:
+                z0[k, dv:] = g.edge_features[g.edge_id(i, j)]
+        else:
+            z0[k, dv] = 1.0 if (i == j or is_base_edge) else 0.0
+    adj = power.adjacency
+    ref_l, ref_g1, ref_g2 = [], [], []
+    for k, (i, j) in enumerate(order):
+        common = adj[i] & adj[j]
+        ordered = [i] + ([j] if j != i else []) + sorted(common - {i, j})
+        for l in ordered:
+            ref_l.append(k)
+            ref_g1.append(row_of[(min(i, l), max(i, l))])
+            ref_g2.append(row_of[(min(l, j), max(l, j))])
+    return Wl2Encoding(z0=z0,
+                       ref_l=np.asarray(ref_l, dtype=np.int64),
+                       ref_g1=np.asarray(ref_g1, dtype=np.int64),
+                       ref_g2=np.asarray(ref_g2, dtype=np.int64),
+                       rows=np.asarray(order, dtype=np.int64).reshape(m, 2),
+                       graph_offsets=np.asarray([[0, m, 0, len(ref_l)]],
+                                                dtype=np.int64),
+                       radius=r)
+
+
+ENCODING_FIELDS = ("z0", "ref_l", "ref_g1", "ref_g2", "rows", "graph_offsets")
+
+
+@st.composite
+def looped_graphs(draw):
+    """Featured graphs, some with edge features, some with self-loops."""
+    g = draw(featured_graphs(with_edge_features=draw(st.booleans())))
+    loops = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=2))
+    if not loops:
+        return g
+    edges = g.edges + tuple((v, v) for v in loops)
+    ef = None
+    if g.edge_features.shape[1]:
+        ef = np.vstack([g.edge_features, -np.ones((len(loops), 1))])
+    return Graph(g.n, edges, vertex_features=g.vertex_features,
+                 edge_features=ef)
+
+
+@settings(max_examples=80, deadline=None)
+@given(looped_graphs(), st.integers(min_value=1, max_value=3))
+def test_encode_matches_loop_form_bytewise(g, r):
+    fast, slow = encode(g, r), encode_loop_form(g, r)
+    for field in ENCODING_FIELDS:
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert fast.radius == slow.radius
+
+
+def test_encode_rejects_power_graph_without_self_loop(monkeypatch):
+    def loopless(g, r):
+        return Graph(g.n, tuple(e for e in graph_power(g, r).edges
+                                if e != (1, 1)))
+    monkeypatch.setattr(encoding, "graph_power", loopless)
+    with pytest.raises(GraphError, match=r"\(1, 1\)"):
+        encode(cycle_graph(4), 1)
+
+
 # ------------------------------------------------------------ persistence
 
 def test_save_load_round_trip(tmp_path):
@@ -293,3 +371,56 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_encoding(path)
+
+
+def _corrupt(enc, field, rng):
+    """A copy of `enc` with one field broken in a way `validate` must
+    catch."""
+    enc = Wl2Encoding(**{f: getattr(enc, f).copy() for f in ENCODING_FIELDS},
+                      radius=enc.radius)
+    if field in ("ref_l", "ref_g1", "ref_g2"):
+        bad = rng.choice([-1, enc.m, -1 - int(rng.integers(0, 2 ** 40)),
+                          enc.m + int(rng.integers(0, 2 ** 40))])
+        getattr(enc, field)[rng.integers(0, enc.gamma)] = bad
+    elif field == "ref_l order":
+        # swap a neighbouring pair with different targets
+        steps = np.flatnonzero(np.diff(enc.ref_l))
+        k = rng.choice(steps)
+        enc.ref_l[[k, k + 1]] = enc.ref_l[[k + 1, k]]
+    elif field == "graph_offsets":
+        delta = int(rng.integers(1, 5)) * int(rng.choice([-1, 1]))
+        enc.graph_offsets[rng.integers(0, enc.n_graphs),
+                          rng.integers(0, 4)] += delta
+    elif field == "rows":
+        proper = np.flatnonzero(enc.rows[:, 0] != enc.rows[:, 1])
+        enc.rows[rng.choice(proper)] = enc.rows[rng.choice(proper)][::-1]
+    else:
+        enc.radius = -int(rng.integers(0, 3))
+    return enc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ref_l", "ref_g1", "ref_g2", "ref_l order",
+                        "graph_offsets", "rows", "radius"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_every_single_field_corruption_fails_to_load(tmp_path_factory, field,
+                                                     seed):
+    enc = encode_batch([cycle_graph(5), complete_graph(4), cycle_graph(3)], 2)
+    assert enc.validate() is enc
+    path = tmp_path_factory.mktemp("dump") / "bad.wl2e"
+    save_encoding(_corrupt(enc, field, np.random.default_rng(seed)), path)
+    name = field.split()[0]
+    with pytest.raises(ValueError, match=f"bad.wl2e: {name}"):
+        load_encoding(path)
+
+
+def test_load_rejects_pointers_that_would_wrap_or_overrun(tmp_path):
+    enc = encode(cycle_graph(4), 1)
+    path = tmp_path / "enc.wl2e"
+    for field, value in (("ref_g1", -1), ("ref_g2", enc.m)):
+        bad = Wl2Encoding(**{f: getattr(enc, f).copy()
+                             for f in ENCODING_FIELDS}, radius=enc.radius)
+        getattr(bad, field)[0] = value
+        save_encoding(bad, path)
+        with pytest.raises(ValueError, match=field):
+            load_encoding(path)

@@ -400,6 +400,30 @@ def test_batch_builds_each_scatter_plan_once(layer, monkeypatch):
         assert sum(idx is index.idx for idx in built) == 1
 
 
+def test_wl2_graph_keeps_no_gamma_row_tensor():
+    # the pair-message path is one node that keeps only its activated
+    # sums, so no tensor in the graph (inputs, outputs, parameters) has
+    # one row per reference triple
+    spec = ModelSpec(layer="wl2", t=3, d=4, r=2, pool="weighted_mean",
+                     act="logistic")
+    gs = [featured(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
+                   seed=s) for s in range(3)]
+    units = prepare_units(spec, gs)
+    params = init_model_params(spec, input_width(spec, units), seed=1)
+    batch = combine_units(spec, units)
+    assert batch.gamma not in (batch.m, batch.n_graphs, batch.width, spec.d)
+    loss = T.bce(forward_model(spec, params, batch),
+                 np.array([[1.0], [0.0], [1.0]]))
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert node.shape[0] != batch.gamma
+            stack.extend(node._parents)
+    assert len(seen) > 3 * spec.t
+
+
 def test_end_to_end_gradients_wl2():
     g1, g2 = cycle_graph(5), complete_graph(4)
     spec = ModelSpec(layer="wl2", t=2, d=3, r=2, pool="weighted_mean",

@@ -182,6 +182,55 @@ def test_sigmoid_matches_two_branch_form_bitwise(x):
     assert np.array_equal(_bits(T._sigmoid(x)), _bits(expected))
 
 
+def _index_case(rng, n, side):
+    """An index of length n on the requested side of the slot/fallback
+    choice (slots need n >= 3 * SLOT_WIDTH) and the row count it points
+    into."""
+    if side == "slots":
+        kmax = int(rng.integers(1, 4))
+        used = -(-n // kmax)
+        rows = used + int(rng.integers(0, 5))
+        targets = rng.choice(rows, size=used, replace=False)
+        idx = targets[rng.permutation(np.repeat(np.arange(used), kmax))[:n]]
+    else:
+        rows = int(rng.integers(1, 10))
+        idx = rng.integers(0, rows, size=n)
+    assert (T._rank_slots(idx) is None) == (side == "fallback")
+    return idx, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["slots", "fallback"]),
+       st.sampled_from(["slots", "fallback"]),
+       st.sampled_from(["identity", "relu", "logistic"]), st.integers(1, 3),
+       st.booleans())
+def test_pair_scatter_matches_composed_ops_bitwise(seed, gather_side,
+                                                    target_side, act, d,
+                                                    wrap):
+    rng = np.random.default_rng(seed)
+    slots = "slots" in (gather_side, target_side)
+    n = int(rng.integers(3 * T.SLOT_WIDTH, 400) if slots
+            else rng.integers(0, 200))
+    idx1, rows = _index_case(rng, n, gather_side)
+    idx2 = rng.permutation(idx1)
+    target, m = _index_case(rng, n, target_side)
+    values = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(
+        -3, 4, size=(rows, d))
+    values[rng.random(values.shape) < 0.05] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    adjoint = rng.standard_normal((m, d))
+    if wrap:
+        idx1, idx2, target = (T.ScatterIndex(i) for i in (idx1, idx2, target))
+    z_fused, z_composed = leaf(values), leaf(values)
+    fused = T.pair_scatter(z_fused, idx1, idx2, target, m, act)
+    x = T.add(T.gather(z_composed, idx1), T.gather(z_composed, idx2))
+    composed = T.scatter_sum(T.ACTIVATIONS[act](x), target, m)
+    assert np.array_equal(_bits(fused.data), _bits(composed.data))
+    for out in (fused, composed):
+        T.backward(T.sum_all(T.hadamard(out, T.constant(adjoint))))
+    assert np.array_equal(_bits(z_fused.grad), _bits(z_composed.grad))
+
+
 def test_segment_min_routes_gradient_to_argmin_only():
     x = leaf([[3.0], [2.0], [7.0]])
     out = T.sum_all(T.segment_min(x, np.array([0, 0, 1]), 2))
@@ -252,6 +301,17 @@ def test_grad_check_gather_scatter_segment_min():
         pooled = T.scatter_sum(x, idx, 5)
         return T.sum_all(T.segment_min(pooled, seg, 3))
     report = T.grad_check(f, [z])
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("act", ["identity", "relu", "logistic"])
+def test_grad_check_pair_scatter(act):
+    rng = np.random.default_rng(10)
+    z = leaf(rng.normal(size=(5, 3)))
+    idx1, idx2 = rng.integers(0, 5, size=14), rng.integers(0, 5, size=14)
+    target = np.sort(rng.integers(0, 4, size=14))
+    report = T.grad_check(
+        lambda: scalarize(T.pair_scatter(z, idx1, idx2, target, 4, act)), [z])
     assert report.passed, report
 
 
@@ -336,3 +396,49 @@ def test_load_tensors_rejects_garbage(tmp_path):
     path.write_bytes(b"????" + b"\x00" * 16)
     with pytest.raises(ValueError):
         T.load_tensors(path)
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "params.bin"
+    T.save_tensors({"b": np.ones((1, 2)), "w": np.arange(6.0).reshape(2, 3)},
+                   path)
+    return path, path.read_bytes()
+
+
+def _int_field(value):
+    return np.asarray([value], dtype="<i8").tobytes()
+
+
+# byte offset of each int64 field of the checkpoint above: the record
+# count, then per record its name length (name "b" or "w") and its shape
+@pytest.mark.parametrize("offset,value", [
+    (4, 2 ** 40),        # record count
+    (4, -1),
+    (4, 3),
+    (12, -5),            # name length of "b"
+    (12, 2 ** 40),
+    (21, -1),            # rows of "b"
+    (29, 2 ** 40),       # cols of "b"
+    (29, 2 ** 61),       # 8 * rows * cols wraps in int64
+])
+def test_load_tensors_rejects_corrupt_counts(tmp_path, offset, value):
+    path, data = _checkpoint_bytes(tmp_path)
+    path.write_bytes(data[:offset] + _int_field(value) + data[offset + 8:])
+    with pytest.raises(ValueError, match="params.bin"):
+        T.load_tensors(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_load_tensors_fails_only_with_value_error(tmp_path_factory, data):
+    path, raw = _checkpoint_bytes(tmp_path_factory.mktemp("ckpt"))
+    cut = data.draw(st.integers(0, len(raw)))
+    junk = data.draw(st.binary(max_size=16))
+    path.write_bytes(raw[:cut] + junk + raw[cut + len(junk):])
+    try:
+        back = T.load_tensors(path)
+    except ValueError as err:
+        assert "params.bin" in str(err)
+    else:
+        assert all(a.ndim == 2 and a.dtype == np.float64
+                   for a in back.values())
