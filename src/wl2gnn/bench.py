@@ -105,6 +105,13 @@ def stratified_holdout(indices, labels, fraction, rng):
     return rest, held
 
 
+def _require_positive(**counts):
+    """Raises `ValueError` naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _select(units, idx):
     return [units[i] for i in idx]
 
@@ -129,6 +136,7 @@ def train_model(spec, units, labels, config, seed,
     validation set is given, restoring the best epoch's weights. A
     non-finite training or validation loss raises `ValueError`."""
     validate_model_spec(spec)
+    _require_positive(epochs=config.epochs, batch_size=config.batch_size)
     labels = np.asarray(labels, dtype=np.float64)
     # with the training set as validation set, one evaluation per epoch
     # serves both the accuracy target and early stopping
@@ -246,6 +254,8 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     labels = np.asarray(labels, dtype=np.int64)
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
+    _require_positive(epochs=config.epochs, batch_size=config.batch_size,
+                      repeats=config.repeats)
     grid = [validate_model_spec(s) for s in grid]
     if not grid:
         raise ValueError("empty model grid")
@@ -377,6 +387,8 @@ def foldwise_deltas(results_a, results_b):
         raise ValueError("duplicate (fold, repeat) rows")
     if by_key_a.keys() != by_key_b.keys():
         raise ValueError("fold structures do not match")
+    if not by_key_a:
+        raise ValueError("no (fold, repeat) rows to compare")
     keys = sorted(by_key_a)
     deltas = np.asarray([by_key_a[k].test_acc - by_key_b[k].test_acc
                          for k in keys])
@@ -431,6 +443,7 @@ def epoch_timing(n_list, d_list, r_list, spec, n_graphs=100, epochs=100,
     Returns (rows, warnings).
     """
     validate_model_spec(spec)
+    _require_positive(n_graphs=n_graphs, epochs=epochs)
     rows, warnings = [], []
     for n in n_list:
         for d in d_list:

@@ -1,9 +1,8 @@
 """Command line entry point.
 
-Subcommands: encode (cache a dataset's pair encoding), cv (run the
-cross-validation benchmark), timing (scaling sweep), deltas (compare
-two result files), gen-triangle (write the synthetic triangle dataset
-in TU text format).
+Subcommands: cv (run the cross-validation benchmark), timing (scaling
+sweep), deltas (compare two result files), gen-triangle (write the
+synthetic triangle dataset in TU text format).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import replace
 
 from .bench import (DEFAULT_RADII, TrainConfig, epoch_timing, foldwise_deltas,
                     read_results_csv, run_cv, write_timing_csv)
-from .encoding import encode_batch, save_encoding
 from .graphs import GraphError, generate_triangle_dataset, load_tu_dataset, \
     save_tu_dataset
 from .layers import FAMILIES, ModelSpec, parse_model_spec
@@ -39,16 +37,6 @@ def _dataset_flags(sub):
     sub.add_argument("--dataset", help="directory with a TU-format dataset")
     sub.add_argument("--triangle-seed", type=int, default=None,
                      help="generate the triangle dataset with this seed")
-
-
-def _cmd_encode(args):
-    graphs, _, name = _load_dataset(args)
-    radius = args.radius or DEFAULT_RADII.get(name, 1)
-    enc = encode_batch(graphs, radius)
-    save_encoding(enc, args.out)
-    print(f"{name}: {len(graphs)} graphs, radius {radius}, "
-          f"m={enc.m} gamma={enc.gamma} -> {args.out}")
-    return 0
 
 
 def _cmd_cv(args):
@@ -120,12 +108,6 @@ def _cmd_gen_triangle(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="wl2gnn")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("encode", help="encode a dataset and cache the dump")
-    _dataset_flags(p)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_encode)
 
     p = sub.add_parser("cv", help="cross-validated benchmark")
     _dataset_flags(p)

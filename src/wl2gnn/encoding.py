@@ -20,13 +20,11 @@ vertices ascending.
 
 `encode` builds all of this with array operations on the power graph's
 n x n boolean adjacency and an n x n table of row numbers, so its memory
-is quadratic in the vertex count of one graph. `load_encoding` checks a
-dump with `Wl2Encoding.validate` before returning it.
+is quadratic in the vertex count of one graph.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,9 +32,6 @@ import numpy as np
 
 from .graphs import GraphError, graph_power
 from .tensor import ScatterIndex
-
-_MAGIC = b"WL2E"
-_VERSION = 1
 
 
 @dataclass
@@ -87,35 +82,6 @@ class Wl2Encoding:
     def triples(self):
         return list(zip(self.ref_l.tolist(), self.ref_g1.tolist(),
                         self.ref_g2.tolist()))
-
-    def validate(self):
-        """Raises `ValueError` naming the first field that breaks the
-        layout `encode` and `combine_encodings` produce: pointers in
-        [0, m), `ref_l` non-decreasing, graph offsets contiguous and
-        summing to m rows and gamma triples, every row (i, j) with
-        i <= j, a positive radius. Returns the encoding."""
-        m, gamma = self.m, self.gamma
-        if self.radius < 1:
-            raise ValueError(f"radius: {self.radius} is not positive")
-        for name in ("ref_l", "ref_g1", "ref_g2"):
-            col = getattr(self, name)
-            if col.shape != (gamma,):
-                raise ValueError(f"{name}: {col.shape[0]} pointers, "
-                                 f"expected {gamma}")
-            if gamma and (col.min() < 0 or col.max() >= m):
-                raise ValueError(f"{name}: pointer outside [0, {m})")
-        if np.any(self.ref_l[1:] < self.ref_l[:-1]):
-            raise ValueError("ref_l: target rows decrease")
-        offsets = self.graph_offsets
-        for col, total, what in ((0, m, "rows"), (2, gamma, "triples")):
-            starts, counts = offsets[:, col], offsets[:, col + 1]
-            if (np.any(counts < 0) or counts.sum() != total
-                    or np.any(starts != np.cumsum(counts) - counts)):
-                raise ValueError(f"graph_offsets: {what} are not contiguous "
-                                 f"or do not sum to {total}")
-        if self.rows.shape != (m, 2) or np.any(self.rows[:, 0] > self.rows[:, 1]):
-            raise ValueError("rows: not m vertex pairs (i, j) with i <= j")
-        return self
 
 
 def encode(g, r):
@@ -201,59 +167,3 @@ def combine_encodings(encodings):
                        rows=np.vstack(rows),
                        graph_offsets=np.asarray(offsets, dtype=np.int64),
                        radius=radius)
-
-
-def encode_batch(graphs, r):
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("cannot encode an empty batch")
-    return combine_encodings(encode(g, r) for g in graphs)
-
-
-def save_encoding(enc, path):
-    """Binary dump: int64 header, float64 features, int64 pointers (LE)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        header = np.asarray([_VERSION, enc.m, enc.gamma, enc.width,
-                             enc.radius, enc.n_graphs], dtype="<i8")
-        fh.write(header.tobytes())
-        fh.write(enc.graph_offsets.astype("<i8").tobytes())
-        fh.write(enc.rows.astype("<i8").tobytes())
-        fh.write(enc.z0.astype("<f8").tobytes())
-        for arr in (enc.ref_l, enc.ref_g1, enc.ref_g2):
-            fh.write(arr.astype("<i8").tobytes())
-
-
-def load_encoding(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ValueError(f"{path}: not an encoding dump")
-    header = np.frombuffer(buf.read(6 * 8), dtype="<i8")
-    if header.shape[0] != 6:
-        raise ValueError(f"{path}: truncated dump")
-    version, m, gamma, width, radius, n_graphs = (int(v) for v in header)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-
-    def take(count, dtype):
-        arr = np.frombuffer(buf.read(max(count, 0) * 8), dtype=dtype)
-        if arr.shape[0] != count:
-            raise ValueError(f"{path}: truncated dump")
-        return arr
-
-    offsets = take(n_graphs * 4, "<i8").reshape(n_graphs, 4).astype(np.int64)
-    rows = take(m * 2, "<i8").reshape(m, 2).astype(np.int64)
-    z0 = take(m * width, "<f8").reshape(m, width).astype(np.float64)
-    ref_l = take(gamma, "<i8").astype(np.int64)
-    ref_g1 = take(gamma, "<i8").astype(np.int64)
-    ref_g2 = take(gamma, "<i8").astype(np.int64)
-    if buf.read(1):
-        raise ValueError(f"{path}: trailing bytes after dump")
-    enc = Wl2Encoding(z0=z0, ref_l=ref_l, ref_g1=ref_g1, ref_g2=ref_g2,
-                      rows=rows, graph_offsets=offsets, radius=radius)
-    try:
-        return enc.validate()
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None

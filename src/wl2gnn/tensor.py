@@ -466,71 +466,3 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
                 worst, worst_param, worst_index = rel, k, idx
     return GradCheckReport(max_rel_error=worst, passed=worst <= tol,
                            worst_param=worst_param, worst_index=worst_index)
-
-
-# ---------------------------------------------------------------------------
-# named-tensor checkpoints
-
-_CKPT_MAGIC = b"WL2P"
-
-
-def save_tensors(named, path):
-    """Flat binary checkpoint: (name, rows, cols, float64 payload) records."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(np.asarray([len(named)], dtype="<i8").tobytes())
-        for name in sorted(named):
-            data = named[name].data if isinstance(named[name], Tensor) \
-                else np.asarray(named[name], dtype=np.float64)
-            raw = name.encode("utf-8")
-            fh.write(np.asarray([len(raw)], dtype="<i8").tobytes())
-            fh.write(raw)
-            fh.write(np.asarray(data.shape, dtype="<i8").tobytes())
-            fh.write(data.astype("<f8").tobytes())
-
-
-def load_tensors(path):
-    """Reads a `save_tensors` checkpoint; every count, length and shape
-    is checked against the bytes left, and a corrupt file raises
-    `ValueError` naming the path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint")
-    pos = 4
-
-    def ints(k, what):
-        nonlocal pos
-        if len(data) - pos < 8 * k:
-            raise ValueError(f"{path}: truncated checkpoint at {what}")
-        out = [int(v) for v in np.frombuffer(data, "<i8", k, pos)]
-        pos += 8 * k
-        return out
-
-    (count,) = ints(1, "the record count")
-    # a record takes at least 24 bytes: its name length and shape
-    if not 0 <= 24 * count <= len(data) - pos:
-        raise ValueError(f"{path}: record count {count} does not fit the file")
-    out = {}
-    for _ in range(count):
-        (name_len,) = ints(1, "a name length")
-        if not 0 <= name_len <= len(data) - pos:
-            raise ValueError(f"{path}: name length {name_len} does not fit "
-                             "the file")
-        try:
-            name = data[pos:pos + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: a tensor name is not UTF-8") from None
-        if name in out:
-            raise ValueError(f"{path}: tensor {name!r} appears twice")
-        pos += name_len
-        rows, cols = ints(2, f"the shape of {name!r}")
-        if rows < 0 or cols < 0 or 8 * rows * cols > len(data) - pos:
-            raise ValueError(f"{path}: shape ({rows}, {cols}) of {name!r} "
-                             "does not fit the file")
-        arr = np.frombuffer(data, "<f8", rows * cols, pos)
-        pos += 8 * rows * cols
-        out[name] = arr.reshape(rows, cols).astype(np.float64)
-    if pos != len(data):
-        raise ValueError(f"{path}: trailing bytes after checkpoint")
-    return out

@@ -148,20 +148,3 @@ def distinguishable(g, h, k):
     """
     cg, ch = run_wl_pair(g, h, k)
     return color_histogram(cg) != color_histogram(ch)
-
-
-def serialize_histogram(hist):
-    """Line-oriented `color count` text form, sorted by color."""
-    return "".join(f"{c} {hist[c]}\n" for c in sorted(hist))
-
-
-def parse_histogram(text):
-    hist = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected `color count`, got {line!r}")
-        hist[int(parts[0])] = int(parts[1])
-    return hist

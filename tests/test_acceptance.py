@@ -18,7 +18,7 @@ import wl2gnn.tensor as T
 from wl2gnn.bench import (TrainConfig, epoch_timing, loglog_slope, run_cv,
                           stratified_holdout, triangle_experiment,
                           _random_regular_circulant)
-from wl2gnn.encoding import encode, encode_batch
+from wl2gnn.encoding import combine_encodings, encode
 from wl2gnn.graphs import (Graph, TriangleConfig, complete_graph, cycle_graph,
                            disjoint_union, edge_neighborhood_graph,
                            generate_triangle_dataset, graph_power,
@@ -185,7 +185,7 @@ def test_criterion_06_golden_batch_encoding():
                edge_features=np.ones((3, 1)))
     p2 = Graph(2, ((0, 1),), vertex_features=np.ones((2, 1)),
                edge_features=np.ones((1, 1)))
-    batch = encode_batch([k3, p2], 1)
+    batch = combine_encodings([encode(k3, 1), encode(p2, 1)])
     assert batch.m == 9, f"m = {batch.m}"
     assert batch.gamma == 24, f"gamma = {batch.gamma}"
     want_z0 = np.array([[1, 0]] * 3 + [[0, 1]] * 3 + [[1, 0]] * 2 + [[0, 1]],

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wl2gnn import bench
 from wl2gnn.bench import (
@@ -126,6 +131,16 @@ def test_train_model_rejects_non_finite_losses():
                     val_units=prepare_units(BASELINE, bad), val_labels=labels)
 
 
+def test_train_model_rejects_counts_below_one():
+    graphs, labels = separable_dataset(8)
+    units = prepare_units(BASELINE, graphs)
+    for field in ("epochs", "batch_size"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+                train_model(BASELINE, units, labels,
+                            TrainConfig(**{field: value}), seed=0)
+
+
 def test_train_model_evaluates_training_set_once_per_epoch(monkeypatch):
     # as in the triangle experiment: the training set is the validation
     # set and an accuracy target is set
@@ -225,6 +240,50 @@ def test_run_cv_input_validation():
         run_cv(graphs, labels,
                [ModelSpec(layer="baseline", t=1, d=4, r=1, pool="min",
                           act="relu", lr=1e-2)], quick_config())
+
+
+def test_run_cv_rejects_counts_below_one(monkeypatch):
+    # the counts are checked before any unit is prepared
+    monkeypatch.setattr(bench, "_unit_cache", None)
+    graphs, labels = separable_dataset(8)
+    for field in ("epochs", "batch_size", "repeats"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+                run_cv(graphs, labels, [BASELINE],
+                       quick_config(folds=2, **{field: value}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       st.integers(0, 14), st.sampled_from([0.1, 0.25, 0.5]))
+def test_run_cv_folds_are_feasible_or_rejected_up_front(counts, folds, holdout):
+    """Either `run_cv` raises `ValueError` before any fold runs, or every
+    outer test fold is non-empty and every inner training split keeps
+    every class. Folds are checked by rebuilding their split, not run."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    graphs = [constant_graph(1.0)] * len(labels)
+    ran = []
+
+    def check_fold(cache, labels, grid, config, dataset, folds, fold):
+        test_idx = folds[fold]
+        assert len(test_idx) > 0
+        train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
+        rng = np.random.default_rng([config.seed, fold])
+        inner_idx, _ = stratified_holdout(train_idx, labels, config.holdout,
+                                          rng)
+        assert set(labels[inner_idx].tolist()) == set(labels.tolist())
+        ran.append(fold)
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_run_fold", check_fold)
+        try:
+            run_cv(graphs, labels, [BASELINE],
+                   quick_config(folds=folds, holdout=holdout, repeats=1))
+        except ValueError:
+            assert not ran
+        else:
+            assert ran == list(range(folds))
 
 
 def test_run_cv_rejects_more_folds_than_a_class_has():
@@ -344,3 +403,79 @@ def test_default_radii_cover_corpora():
 def test_select_preserves_order():
     units = ["a", "b", "c", "d"]
     assert _select(units, np.array([2, 0])) == ["c", "a"]
+
+
+# ------------------------------------------------------------ command line
+
+CLI_BASE = {
+    "cv": ["--folds", "2", "--repeats", "1", "--epochs", "2"],
+    "timing": ["--n-values", "8", "--graphs", "2", "--epochs", "1"],
+}
+
+
+@pytest.mark.parametrize("command,flags,field", [
+    ("cv", ["--repeats", "0"], "repeats"),
+    ("cv", ["--batch-size", "-1"], "batch_size"),
+    ("cv", ["--batch-size", "0"], "batch_size"),
+    ("cv", ["--epochs", "0"], "epochs"),
+    ("timing", ["--epochs", "0"], "epochs"),
+    ("timing", ["--graphs", "0"], "n_graphs"),
+], ids=["cv-repeats-0", "cv-batch-size-neg", "cv-batch-size-0", "cv-epochs-0",
+        "timing-epochs-0", "timing-graphs-0"])
+def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
+    graphs, labels = separable_dataset(16)
+    save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
+    out = tmp_path / "out.csv"
+    dataset = ["--dataset", str(tmp_path / "TOY")] if command == "cv" else []
+    code = main([command, *dataset, *CLI_BASE[command], *flags,
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{field} must be at least 1" in err[0]
+    assert not out.exists()
+
+
+def test_cli_deltas_rejects_empty_results(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_results_csv([], a)
+    write_results_csv([], b)
+    code = main(["deltas", "--a", str(a), "--b", str(b)])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "no (fold, repeat) rows" in err[0]
+    assert captured.out == ""
+
+
+def test_cli_deltas_reports_paired_comparison(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_results_csv(rows([0.9, 0.8, 0.85]), a)
+    write_results_csv(rows([0.6, 0.5, 0.55]), b)
+    assert main(["deltas", "--a", str(a), "--b", str(b)]) == 0
+    assert capsys.readouterr().out == ("mean delta +0.3000, std 0.0000 over 3 "
+                                       "pairs: significant at two sigma\n")
+
+
+def test_cli_timing_writes_one_row_per_cell(tmp_path, capsys):
+    out = tmp_path / "timing.csv"
+    code = main(["timing", "--n-values", "8", "--d-values", "2",
+                 "--graphs", "2", "--epochs", "1", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "n,d,r,gamma,epoch_seconds"
+    assert len(lines) == 2 and lines[1].startswith("8,2,1,")
+    assert capsys.readouterr().out.endswith(f"1 rows -> {out}\n")
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_help_exits_zero(script):
+    # imports every name the script takes from the package
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

@@ -7,9 +7,6 @@ from wl2gnn.encoding import (
     Wl2Encoding,
     combine_encodings,
     encode,
-    encode_batch,
-    load_encoding,
-    save_encoding,
 )
 from wl2gnn.graphs import Graph, GraphError, complete_graph, cycle_graph, graph_power
 
@@ -86,7 +83,8 @@ def test_k3_encoding_matches_worked_example():
 
 
 def test_batched_encoding_matches_worked_example():
-    enc = encode_batch([k3_example_graph(), single_edge_example_graph()], 1)
+    graphs = (k3_example_graph(), single_edge_example_graph())
+    enc = combine_encodings([encode(g, 1) for g in graphs])
     assert enc.m == 9
     assert enc.gamma == 24
     want_z0 = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3
@@ -148,7 +146,7 @@ def test_radius_must_be_positive():
 def test_singleton_batch_equals_plain_encoding():
     g = cycle_graph(5)
     a = encode(g, 2)
-    b = encode_batch([g], 2)
+    b = combine_encodings([encode(g, 2)])
     assert np.array_equal(a.z0, b.z0)
     assert a.triples() == b.triples()
     assert np.array_equal(a.graph_offsets, b.graph_offsets)
@@ -156,7 +154,12 @@ def test_singleton_batch_equals_plain_encoding():
 
 def test_batch_slicing_reproduces_parts():
     gs = [cycle_graph(4), complete_graph(3), cycle_graph(6)]
-    batch = encode_batch(gs, 2)
+    batch = combine_encodings([encode(g, 2) for g in gs])
+    # the parts tile the batch's rows and triples, in order
+    offsets = batch.graph_offsets
+    starts, counts = offsets[:, [0, 2]], offsets[:, [1, 3]]
+    assert np.array_equal(starts, np.cumsum(counts, axis=0) - counts)
+    assert counts.sum(axis=0).tolist() == [batch.m, batch.gamma]
     for g, (rs, rc, ts, tc) in zip(gs, batch.graph_offsets):
         single = encode(g, 2)
         assert np.array_equal(batch.z0[rs:rs + rc], single.z0)
@@ -169,7 +172,7 @@ def test_batch_rejects_mixed_widths():
     a = Graph(2, ((0, 1),), vertex_features=np.ones((2, 1)))
     b = Graph(2, ((0, 1),), vertex_features=np.ones((2, 2)))
     with pytest.raises(ValueError):
-        encode_batch([a, b], 1)
+        combine_encodings([encode(a, 1), encode(b, 1)])
 
 
 def test_batch_rejects_mixed_radii():
@@ -338,89 +341,3 @@ def test_encode_rejects_power_graph_without_self_loop(monkeypatch):
     monkeypatch.setattr(encoding, "graph_power", loopless)
     with pytest.raises(GraphError, match=r"\(1, 1\)"):
         encode(cycle_graph(4), 1)
-
-
-# ------------------------------------------------------------ persistence
-
-def test_save_load_round_trip(tmp_path):
-    enc = encode_batch([cycle_graph(5), complete_graph(4)], 2)
-    path = tmp_path / "batch.wl2e"
-    save_encoding(enc, path)
-    back = load_encoding(path)
-    assert np.array_equal(back.z0, enc.z0)
-    assert np.array_equal(back.ref_l, enc.ref_l)
-    assert np.array_equal(back.ref_g1, enc.ref_g1)
-    assert np.array_equal(back.ref_g2, enc.ref_g2)
-    assert np.array_equal(back.rows, enc.rows)
-    assert np.array_equal(back.graph_offsets, enc.graph_offsets)
-    assert back.radius == enc.radius
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    enc = encode(cycle_graph(4), 1)
-    path = tmp_path / "enc.wl2e"
-    save_encoding(enc, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError):
-        load_encoding(path)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.wl2e"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_encoding(path)
-
-
-def _corrupt(enc, field, rng):
-    """A copy of `enc` with one field broken in a way `validate` must
-    catch."""
-    enc = Wl2Encoding(**{f: getattr(enc, f).copy() for f in ENCODING_FIELDS},
-                      radius=enc.radius)
-    if field in ("ref_l", "ref_g1", "ref_g2"):
-        bad = rng.choice([-1, enc.m, -1 - int(rng.integers(0, 2 ** 40)),
-                          enc.m + int(rng.integers(0, 2 ** 40))])
-        getattr(enc, field)[rng.integers(0, enc.gamma)] = bad
-    elif field == "ref_l order":
-        # swap a neighbouring pair with different targets
-        steps = np.flatnonzero(np.diff(enc.ref_l))
-        k = rng.choice(steps)
-        enc.ref_l[[k, k + 1]] = enc.ref_l[[k + 1, k]]
-    elif field == "graph_offsets":
-        delta = int(rng.integers(1, 5)) * int(rng.choice([-1, 1]))
-        enc.graph_offsets[rng.integers(0, enc.n_graphs),
-                          rng.integers(0, 4)] += delta
-    elif field == "rows":
-        proper = np.flatnonzero(enc.rows[:, 0] != enc.rows[:, 1])
-        enc.rows[rng.choice(proper)] = enc.rows[rng.choice(proper)][::-1]
-    else:
-        enc.radius = -int(rng.integers(0, 3))
-    return enc
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["ref_l", "ref_g1", "ref_g2", "ref_l order",
-                        "graph_offsets", "rows", "radius"]),
-       st.integers(0, 2 ** 32 - 1))
-def test_every_single_field_corruption_fails_to_load(tmp_path_factory, field,
-                                                     seed):
-    enc = encode_batch([cycle_graph(5), complete_graph(4), cycle_graph(3)], 2)
-    assert enc.validate() is enc
-    path = tmp_path_factory.mktemp("dump") / "bad.wl2e"
-    save_encoding(_corrupt(enc, field, np.random.default_rng(seed)), path)
-    name = field.split()[0]
-    with pytest.raises(ValueError, match=f"bad.wl2e: {name}"):
-        load_encoding(path)
-
-
-def test_load_rejects_pointers_that_would_wrap_or_overrun(tmp_path):
-    enc = encode(cycle_graph(4), 1)
-    path = tmp_path / "enc.wl2e"
-    for field, value in (("ref_g1", -1), ("ref_g2", enc.m)):
-        bad = Wl2Encoding(**{f: getattr(enc, f).copy()
-                             for f in ENCODING_FIELDS}, radius=enc.radius)
-        getattr(bad, field)[0] = value
-        save_encoding(bad, path)
-        with pytest.raises(ValueError, match=field):
-            load_encoding(path)

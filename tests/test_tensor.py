@@ -375,70 +375,3 @@ def test_glorot_bounds_and_determinism():
     assert np.all(np.abs(w.data) <= bound)
     w2 = T.glorot_uniform(np.random.default_rng(7), 30, 50)
     assert np.array_equal(w.data, w2.data)
-
-
-# ------------------------------------------------------------- checkpoints
-
-def test_save_load_tensors_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    named = {"w": leaf(rng.normal(size=(3, 4))),
-             "b": leaf(rng.normal(size=(1, 4)))}
-    path = tmp_path / "params.bin"
-    T.save_tensors(named, path)
-    back = T.load_tensors(path)
-    assert set(back) == {"w", "b"}
-    assert np.array_equal(back["w"], named["w"].data)
-    assert np.array_equal(back["b"], named["b"].data)
-
-
-def test_load_tensors_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"????" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        T.load_tensors(path)
-
-
-def _checkpoint_bytes(tmp_path):
-    path = tmp_path / "params.bin"
-    T.save_tensors({"b": np.ones((1, 2)), "w": np.arange(6.0).reshape(2, 3)},
-                   path)
-    return path, path.read_bytes()
-
-
-def _int_field(value):
-    return np.asarray([value], dtype="<i8").tobytes()
-
-
-# byte offset of each int64 field of the checkpoint above: the record
-# count, then per record its name length (name "b" or "w") and its shape
-@pytest.mark.parametrize("offset,value", [
-    (4, 2 ** 40),        # record count
-    (4, -1),
-    (4, 3),
-    (12, -5),            # name length of "b"
-    (12, 2 ** 40),
-    (21, -1),            # rows of "b"
-    (29, 2 ** 40),       # cols of "b"
-    (29, 2 ** 61),       # 8 * rows * cols wraps in int64
-])
-def test_load_tensors_rejects_corrupt_counts(tmp_path, offset, value):
-    path, data = _checkpoint_bytes(tmp_path)
-    path.write_bytes(data[:offset] + _int_field(value) + data[offset + 8:])
-    with pytest.raises(ValueError, match="params.bin"):
-        T.load_tensors(path)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_load_tensors_fails_only_with_value_error(tmp_path_factory, data):
-    path, raw = _checkpoint_bytes(tmp_path_factory.mktemp("ckpt"))
-    cut = data.draw(st.integers(0, len(raw)))
-    junk = data.draw(st.binary(max_size=16))
-    path.write_bytes(raw[:cut] + junk + raw[cut + len(junk):])
-    try:
-        back = T.load_tensors(path)
-    except ValueError as err:
-        assert "params.bin" in str(err)
-    else:
-        assert all(a.ndim == 2 and a.dtype == np.float64
-                   for a in back.values())

@@ -19,13 +19,11 @@ from wl2gnn.wl import (
     color_histogram,
     distinguishable,
     initial_coloring,
-    parse_histogram,
     refine_wl1,
     refine_wl2,
     run_wl,
     run_wl_pair,
     same_partition,
-    serialize_histogram,
 )
 
 
@@ -269,13 +267,7 @@ def test_wl2_at_least_as_strong_as_wl1(g, h):
         assert distinguishable(g, h, 2)
 
 
-# ---------------------------------------------------------- serialization
-
-def test_histogram_round_trip():
-    c, _ = run_wl(cycle_graph(6), 2)
-    hist = color_histogram(c)
-    assert parse_histogram(serialize_histogram(hist)) == hist
-
+# ------------------------------------------------------------- histograms
 
 def test_histogram_counts_sum_to_tuple_count():
     g = cycle_graph(5)
