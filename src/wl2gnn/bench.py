@@ -46,11 +46,10 @@ class TrainConfig:
     holdout: float = 0.1
     repeats: int = 3
     workers: int = 1
-    # stop as soon as training accuracy reaches this (None: never check)
-    target_train_acc: float | None = None
-    # multiply the learning rate by lr_decay whenever the monitored loss
-    # has not improved for lr_patience epochs; 0 disables the schedule
-    lr_decay: float = 0.5
+    # stop as soon as validation accuracy reaches this (None: never check)
+    target_acc: float | None = None
+    # halve the learning rate whenever the validation loss has not
+    # improved for lr_patience epochs; 0 disables the schedule
     lr_patience: int = 0
 
 
@@ -69,10 +68,12 @@ class FoldResult:
 
 @dataclass
 class TrainedModel:
-    spec: ModelSpec
     params: object
     epochs: int
     seconds: float
+    # validation loss and accuracy of `params`; None without a validation set
+    val_loss: float | None = None
+    val_acc: float | None = None
 
 
 def stratified_folds(labels, k, rng):
@@ -130,65 +131,66 @@ def evaluate_model(spec, params, units, labels, batch_size=256):
     return total_loss / len(units), correct / len(units)
 
 
+def _train_step(spec, params, tensors, state, batch, y):
+    """One Adam step on the batch's binary cross-entropy; returns the
+    loss as a float, so that no caller keeps the step's graph alive."""
+    T.zero_grads(tensors)
+    loss = T.bce(forward_model(spec, params, batch), y)
+    T.backward(loss)
+    T.adam_step(state, tensors)
+    return float(loss.data[0, 0])
+
+
 def train_model(spec, units, labels, config, seed,
                 val_units=None, val_labels=None):
-    """Trains one model; early-stops on validation loss when a
-    validation set is given, restoring the best epoch's weights. A
-    non-finite training or validation loss raises `ValueError`."""
+    """Trains one model, scoring it once per epoch on the validation set
+    if one is given: stops with the current weights once the accuracy
+    reaches `config.target_acc`, else early-stops on the loss and
+    restores the best epoch's weights. Returns them with their score.
+    A non-finite training or validation loss raises `ValueError`."""
     validate_model_spec(spec)
     _require_positive(epochs=config.epochs, batch_size=config.batch_size)
+    if config.target_acc is not None and val_units is None:
+        raise ValueError("target_acc needs a validation set")
     labels = np.asarray(labels, dtype=np.float64)
-    # with the training set as validation set, one evaluation per epoch
-    # serves both the accuracy target and early stopping
-    val_is_train = val_units is units and np.array_equal(val_labels, labels)
     params = init_model_params(spec, input_width(spec, units), seed)
     tensors = params.tensors()
     state = T.AdamState.for_params(tensors, spec.lr)
     rng = np.random.default_rng([seed, 0x5eed])
     start = time.perf_counter()
-    best_loss, best_snapshot, bad, ran = np.inf, None, 0, 0
+    # kept: the validation score of the weights to return
+    kept, snapshot, bad, ran = (None, None), None, 0, 0
     for epoch in range(1, config.epochs + 1):
         ran = epoch
         order = rng.permutation(len(units))
         for lo in range(0, len(order), config.batch_size):
             sel = order[lo:lo + config.batch_size]
-            batch = combine_units(spec, _select(units, sel))
-            y = labels[sel].reshape(-1, 1)
-            T.zero_grads(tensors)
-            loss = T.bce(forward_model(spec, params, batch), y)
-            if not np.isfinite(loss.data[0, 0]):
+            loss = _train_step(spec, params, tensors, state,
+                               combine_units(spec, _select(units, sel)),
+                               labels[sel].reshape(-1, 1))
+            if not np.isfinite(loss):
                 raise ValueError(f"non-finite training loss in epoch {epoch}, "
                                  f"batch {lo // config.batch_size + 1}")
-            T.backward(loss)
-            T.adam_step(state, tensors)
-        train_loss = None
-        if config.target_train_acc is not None:
-            train_loss, train_acc = evaluate_model(spec, params, units, labels)
-            if train_acc >= config.target_train_acc:
-                best_snapshot = None  # current weights hit the target
+        if val_units is None:
+            continue
+        score = evaluate_model(spec, params, val_units, val_labels)
+        if not np.isfinite(score[0]):
+            raise ValueError(f"non-finite validation loss in epoch {epoch}")
+        if config.target_acc is not None and score[1] >= config.target_acc:
+            kept, snapshot = score, None  # current weights hit the target
+            break
+        if kept[0] is None or score[0] < kept[0] - 1e-12:
+            kept, snapshot, bad = score, [t.data.copy() for t in tensors], 0
+        else:
+            bad += 1
+            if bad >= config.patience:
                 break
-        if val_units is not None:
-            if val_is_train and train_loss is not None:
-                val_loss = train_loss
-            else:
-                val_loss, _ = evaluate_model(spec, params, val_units, val_labels)
-            if not np.isfinite(val_loss):
-                raise ValueError(f"non-finite validation loss in epoch {epoch}")
-            if val_loss < best_loss - 1e-12:
-                best_loss = val_loss
-                best_snapshot = [t.data.copy() for t in tensors]
-                bad = 0
-            else:
-                bad += 1
-                if bad >= config.patience:
-                    break
-                if config.lr_patience and bad % config.lr_patience == 0:
-                    state.lr *= config.lr_decay
-    if best_snapshot is not None:
-        for t, saved in zip(tensors, best_snapshot):
+            if config.lr_patience and bad % config.lr_patience == 0:
+                state.lr *= 0.5
+    if snapshot is not None:
+        for t, saved in zip(tensors, snapshot):
             t.data = saved
-    return TrainedModel(spec=spec, params=params, epochs=ran,
-                        seconds=time.perf_counter() - start)
+    return TrainedModel(params, ran, time.perf_counter() - start, *kept)
 
 
 def _unit_key(spec):
@@ -221,10 +223,8 @@ def _run_fold(cache, labels, grid, config, dataset, folds, fold):
                               seed=int(rng.integers(2 ** 31)),
                               val_units=_select(units, held_idx),
                               val_labels=labels[held_idx])
-        _, acc = evaluate_model(spec, trained.params,
-                                _select(units, held_idx), labels[held_idx])
-        if acc > best_acc:
-            best_spec, best_acc = spec, acc
+        if trained.val_acc > best_acc:
+            best_spec, best_acc = spec, trained.val_acc
     results = []
     units = cache[_unit_key(best_spec)]
     for repeat in range(config.repeats):
@@ -307,9 +307,10 @@ def triangle_experiment(graphs, labels, seeds, split_seed, train_fraction):
     One stratified split keeps `train_fraction` of the graphs for
     training and tests on the rest: the comparison is architectural, so
     a large, low-variance test side matters more than training set
-    size. Each family is trained once per seed, with the training set
-    as its validation set. Returns a dict from family to one
-    (train accuracy, test accuracy, TrainedModel) per seed.
+    size. Each family is trained once per seed, validated on its
+    training set, so the validation accuracy is the training accuracy.
+    Returns a dict from family to one (train accuracy, test accuracy,
+    TrainedModel) per seed.
     """
     labels = np.asarray(labels)
     test_idx, train_idx = stratified_holdout(
@@ -326,15 +327,13 @@ def triangle_experiment(graphs, labels, seeds, split_seed, train_fraction):
         units = prepare_units(spec, graphs)
         tr_u, te_u = _select(units, train_idx), _select(units, test_idx)
         config = TrainConfig(epochs=epochs, patience=10 ** 6, batch_size=32,
-                             target_train_acc=target, lr_decay=0.5,
-                             lr_patience=40)
+                             target_acc=target, lr_patience=40)
         runs[layer] = []
         for seed in seeds:
             trained = train_model(spec, tr_u, tr_y, config, seed,
                                   val_units=tr_u, val_labels=tr_y)
-            _, tr_acc = evaluate_model(spec, trained.params, tr_u, tr_y)
             _, te_acc = evaluate_model(spec, trained.params, te_u, te_y)
-            runs[layer].append((tr_acc, te_acc, trained))
+            runs[layer].append((trained.val_acc, te_acc, trained))
     return runs
 
 
@@ -439,11 +438,19 @@ def epoch_timing(n_list, d_list, r_list, spec, n_graphs=100, epochs=100,
     circulant graphs of size n is encoded at radius r, then full-batch
     training epochs are timed (forward, loss, backward, update) and the
     mean epoch duration recorded together with the batch gamma.
-    Infeasible (n, d) pairs are skipped with a warning. Strictly serial.
-    Returns (rows, warnings).
+    Infeasible (n, d) pairs are skipped with a warning; empty lists, or
+    radii for a family that ignores them, raise `ValueError`. Strictly
+    serial. Returns (rows, warnings).
     """
     validate_model_spec(spec)
     _require_positive(n_graphs=n_graphs, epochs=epochs)
+    for name, values in (("n_list", n_list), ("d_list", d_list),
+                         ("r_list", r_list)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
+    if not FAMILIES[spec.layer].uses_radius and len(set(r_list)) > 1:
+        raise ValueError(f"family {spec.layer} ignores the radius: sweep one "
+                         f"r value, not {sorted(set(r_list))}")
     rows, warnings = [], []
     for n in n_list:
         for d in d_list:
@@ -469,17 +476,11 @@ def epoch_timing(n_list, d_list, r_list, spec, n_graphs=100, epochs=100,
                 tensors = params.tensors()
                 state = T.AdamState.for_params(tensors, run_spec.lr)
                 y = labels.reshape(-1, 1)
-
-                def one_epoch():
-                    T.zero_grads(tensors)
-                    loss = T.bce(forward_model(run_spec, params, batch), y)
-                    T.backward(loss)
-                    T.adam_step(state, tensors)
-
-                one_epoch()  # warmup, untimed
+                # the first step warms up, untimed
+                _train_step(run_spec, params, tensors, state, batch, y)
                 start = time.perf_counter()
                 for _ in range(epochs):
-                    one_epoch()
+                    _train_step(run_spec, params, tensors, state, batch, y)
                 mean_seconds = (time.perf_counter() - start) / epochs
                 rows.append(TimingRow(n=n, d=d, r=r, gamma=gamma,
                                       epoch_seconds=mean_seconds))

@@ -74,10 +74,7 @@ class Wl2Encoding:
 
     def row_segments(self):
         """Graph id per feature row, for pooling batched outputs."""
-        seg = np.empty(self.m, dtype=np.int64)
-        for gid, (start, count, _, _) in enumerate(self.graph_offsets):
-            seg[start:start + count] = gid
-        return seg
+        return np.repeat(np.arange(self.n_graphs), self.graph_offsets[:, 1])
 
     def triples(self):
         return list(zip(self.ref_l.tolist(), self.ref_g1.tolist(),

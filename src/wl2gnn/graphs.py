@@ -262,7 +262,6 @@ class TriangleConfig:
     densities: tuple = (0.25, 0.5)
     samples_per_cell: int = 3
     max_attempts_per_cell: int = 10_000
-    balanced_cells: bool = True
 
 
 def _monochromatic_triangles(adj_matrix, color_ids):
@@ -316,11 +315,10 @@ def generate_triangle_dataset(seed, config=None):
     triangle). Vertex features are the one-hot colors; there are no
     edge features. Fully deterministic in the seed.
 
-    With `balanced_cells` (the default) both class cells of a
-    (vertex count, proportion, density) combination must fill up or the
-    combination is dropped entirely. Without the pairing, combinations
-    where only one class is feasible would make labels predictable from
-    color counts alone.
+    Both class cells of a (vertex count, proportion, density)
+    combination must fill up or the combination is dropped entirely.
+    Without the pairing, combinations where only one class is feasible
+    would make labels predictable from color counts alone.
     """
     config = config or TriangleConfig()
     rng = np.random.default_rng(seed)
@@ -361,7 +359,7 @@ def generate_triangle_dataset(seed, config=None):
                                         f"{config.samples_per_cell} samples after "
                                         f"{attempts} attempts")
                         failed.append(planted)
-                if config.balanced_cells and failed:
+                if failed:
                     dropped = [c for c in (0, 1)
                                if c not in failed and cell_graphs[c]]
                     if dropped:
@@ -372,8 +370,6 @@ def generate_triangle_dataset(seed, config=None):
                             "sibling class cell failed")
                     continue
                 for planted in (0, 1):
-                    if planted in failed:
-                        continue
                     graphs.extend(cell_graphs[planted])
                     labels.extend([planted] * len(cell_graphs[planted]))
     return graphs, np.asarray(labels, dtype=np.int64), warnings

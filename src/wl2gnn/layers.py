@@ -49,17 +49,14 @@ from .tensor import ACTIVATIONS, Tensor, constant
 @dataclass
 class Dense:
     w: Tensor
-    b: Tensor | None = None
+    b: Tensor
     act: str = "identity"
 
     def apply(self, z):
-        out = T.matmul(z, self.w)
-        if self.b is not None:
-            out = T.add(out, self.b)
-        return ACTIVATIONS[self.act](out)
+        return ACTIVATIONS[self.act](T.add(T.matmul(z, self.w), self.b))
 
     def tensors(self):
-        return [self.w] if self.b is None else [self.w, self.b]
+        return [self.w, self.b]
 
 
 @dataclass
@@ -108,10 +105,16 @@ def wl2_conv(enc, z, params):
     return ACTIVATIONS[params.act](T.add(z_l, T.hadamard(z_f, z_sum)))
 
 
+@np.errstate(over="ignore")
+def _np_logistic(x):
+    """Textbook form, separate from the fast sigmoid that it checks."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 _NP_ACT = {
     "identity": lambda x: x,
     "relu": lambda x: np.maximum(x, 0.0),
-    "logistic": T._sigmoid,
+    "logistic": _np_logistic,
 }
 
 
@@ -397,7 +400,6 @@ def combine_edge_batches(units):
 
 @dataclass
 class ModelParams:
-    spec: ModelSpec
     convs: list
     head: Mlp
     score: Tensor | None = None
@@ -415,11 +417,11 @@ class ModelParams:
         return sum(t.data.size for t in self.tensors())
 
 
-def _make_mlp(rng, dims, act, final_act="identity", bias=True):
+def _make_mlp(rng, dims, act, final_act="identity"):
     layers = []
     for k in range(len(dims) - 1):
         w = T.glorot_uniform(rng, dims[k], dims[k + 1])
-        b = Tensor(np.zeros((1, dims[k + 1])), requires_grad=True) if bias else None
+        b = Tensor(np.zeros((1, dims[k + 1])), requires_grad=True)
         layers.append(Dense(w, b, act if k < len(dims) - 2 else final_act))
     return Mlp(layers)
 
@@ -516,7 +518,7 @@ def init_model_params(spec, in_dim, seed):
     score = None
     if spec.pool == "weighted_mean":
         score = T.glorot_uniform(rng, spec.d, 1)
-    return ModelParams(spec=spec, convs=convs, head=head, score=score)
+    return ModelParams(convs=convs, head=head, score=score)
 
 
 def forward_model(spec, params, batch):

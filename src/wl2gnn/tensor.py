@@ -393,9 +393,6 @@ def glorot_uniform(rng, rows, cols):
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list = None
     v: list = None
@@ -409,19 +406,20 @@ class AdamState:
 
 
 def adam_step(state, params):
-    """One update with bias-corrected moments; params without a gradient
-    this step are treated as having a zero gradient."""
+    """One update with bias-corrected moments (decay rates 0.9 and
+    0.999, eps 1e-8); params without a gradient this step are treated
+    as having a zero gradient."""
     if len(params) != len(state.m):
         raise ValueError("parameter list does not match optimizer state")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for k, p in enumerate(params):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         state.m[k] = b1 * state.m[k] + (1 - b1) * g
         state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
         m_hat = state.m[k] / (1 - b1 ** state.t)
         v_hat = state.v[k] / (1 - b2 ** state.t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------

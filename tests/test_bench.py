@@ -111,8 +111,9 @@ def test_train_model_target_accuracy_stops_early():
     graphs, labels = separable_dataset()
     units = prepare_units(BASELINE, graphs)
     config = TrainConfig(epochs=200, patience=200, batch_size=8,
-                         target_train_acc=0.9)
-    trained = train_model(BASELINE, units, labels, config, seed=0)
+                         target_acc=0.9)
+    trained = train_model(BASELINE, units, labels, config, seed=0,
+                          val_units=units, val_labels=labels)
     assert trained.epochs < 200
     _, acc = evaluate_model(BASELINE, trained.params, units, labels)
     assert acc >= 0.9  # the stopping weights are the returned weights
@@ -141,27 +142,42 @@ def test_train_model_rejects_counts_below_one():
                             TrainConfig(**{field: value}), seed=0)
 
 
-def test_train_model_evaluates_training_set_once_per_epoch(monkeypatch):
-    # as in the triangle experiment: the training set is the validation
-    # set and an accuracy target is set
+def test_train_model_target_needs_a_validation_set():
+    graphs, labels = separable_dataset(8)
+    units = prepare_units(BASELINE, graphs)
+    with pytest.raises(ValueError, match="target_acc needs a validation set"):
+        train_model(BASELINE, units, labels, TrainConfig(target_acc=0.9),
+                    seed=0)
+
+
+def test_train_model_scores_validation_set_once_per_epoch(monkeypatch):
     graphs, labels = separable_dataset()
     units = prepare_units(BASELINE, graphs)
-    config = TrainConfig(epochs=6, patience=2, batch_size=8,
-                         target_train_acc=1.1, lr_patience=1)
-    separate = train_model(BASELINE, units, labels, config, seed=3,
-                           val_units=list(units), val_labels=labels)
+    val_units, val_labels = units[::2], labels[::2]
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evaluate_model(*args, **kwargs)
+    def counting(spec, params, units, labels, *args, **kwargs):
+        calls.append(units)
+        return evaluate_model(spec, params, units, labels, *args, **kwargs)
     monkeypatch.setattr(bench, "evaluate_model", counting)
-    shared = train_model(BASELINE, units, labels, config, seed=3,
-                         val_units=units, val_labels=labels)
-    assert len(calls) == shared.epochs
-    assert shared.epochs == separate.epochs
-    for a, b in zip(shared.params.tensors(), separate.params.tensors()):
-        assert np.array_equal(a.data, b.data)
+    plain = train_model(BASELINE, units, labels,
+                        TrainConfig(epochs=3, batch_size=8), seed=3)
+    assert calls == [] and (plain.val_loss, plain.val_acc) == (None, None)
+    # flipped validation labels: the best epoch is an early one, so
+    # patience stops training and the best weights are restored; with
+    # the true labels the accuracy target stops it
+    for targets, target in ((1 - val_labels, 1.1), (val_labels, 0.9)):
+        calls.clear()
+        config = TrainConfig(epochs=80, patience=3, batch_size=8,
+                             target_acc=target, lr_patience=1)
+        trained = train_model(BASELINE, units, labels, config, seed=3,
+                              val_units=val_units, val_labels=targets)
+        assert trained.epochs < 80
+        assert len(calls) == trained.epochs
+        assert all(c is val_units for c in calls)
+        assert (trained.val_loss, trained.val_acc) == evaluate_model(
+            BASELINE, trained.params, val_units, targets)
+    assert trained.val_acc >= 0.9
 
 
 def test_train_model_patience_stops_on_plateau():
@@ -228,6 +244,28 @@ def test_run_cv_parallel_matches_serial():
                           quick_config(folds=3, repeats=1, epochs=2, workers=2))
         assert [(r.fold, r.test_acc) for r in serial] == \
                [(r.fold, r.test_acc) for r in parallel]
+
+
+def test_run_fold_evaluates_only_train_and_test_folds(monkeypatch):
+    # selection reads the holdout score train_model returns, so outside
+    # train_model only each repeat's train and test folds are evaluated
+    graphs, labels = separable_dataset(16)
+    evals, epochs = [], []
+
+    def counting_eval(*args, **kwargs):
+        evals.append(1)
+        return evaluate_model(*args, **kwargs)
+
+    def counting_train(*args, **kwargs):
+        trained = train_model(*args, **kwargs)
+        epochs.append(trained.epochs)
+        return trained
+    monkeypatch.setattr(bench, "evaluate_model", counting_eval)
+    monkeypatch.setattr(bench, "train_model", counting_train)
+    config = quick_config(folds=2, repeats=2)
+    run_cv(graphs, labels, [BASELINE, WL2], config)
+    assert len(epochs) == config.folds * (2 + config.repeats)
+    assert len(evals) == sum(epochs) + config.folds * config.repeats * 2
 
 
 def test_run_cv_input_validation():
@@ -433,6 +471,24 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"{field} must be at least 1" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n-values", ","], "n_list is empty"),
+    (["--d-values", ","], "d_list is empty"),
+    (["--r-values", ","], "r_list is empty"),
+    (["--spec", "layer=gin,T=1,d=4,act=relu", "--r-values", "1,2"],
+     "family gin ignores the radius"),
+], ids=["n-empty", "d-empty", "r-empty", "gin-radii"])
+def test_cli_timing_rejects_empty_or_radius_blind_sweeps(tmp_path, capsys,
+                                                         flags, message):
+    out = tmp_path / "out.csv"
+    code = main(["timing", *CLI_BASE["timing"], *flags, "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
     assert not out.exists()
 
 

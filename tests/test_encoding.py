@@ -160,6 +160,8 @@ def test_batch_slicing_reproduces_parts():
     starts, counts = offsets[:, [0, 2]], offsets[:, [1, 3]]
     assert np.array_equal(starts, np.cumsum(counts, axis=0) - counts)
     assert counts.sum(axis=0).tolist() == [batch.m, batch.gamma]
+    assert batch.row_segments().tolist() == [
+        gid for gid, count in enumerate(counts[:, 0]) for _ in range(count)]
     for g, (rs, rc, ts, tc) in zip(gs, batch.graph_offsets):
         single = encode(g, 2)
         assert np.array_equal(batch.z0[rs:rs + rc], single.z0)

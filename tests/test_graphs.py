@@ -299,23 +299,21 @@ def unique_triangle_color(g):
 
 
 def test_triangle_dataset_classes_balanced():
-    # paired cells guarantee exact balance, the point of balanced_cells
+    # paired cells guarantee exact balance
     _, labels, _ = generate_triangle_dataset(11, SMALL)
     counts = np.bincount(labels, minlength=2)
     assert counts[0] == counts[1]
 
 
-def test_triangle_dataset_unbalanced_mode_keeps_orphans():
+def test_triangle_dataset_drops_orphan_cells():
     # n=6 at 75/25 leaves only 2 minority vertices, so the minority class
-    # cell fails; without pairing the majority cell is kept anyway
-    kw = dict(vertex_counts=(6,), samples_per_cell=2,
-              max_attempts_per_cell=4000)
-    loose, _, warnings = generate_triangle_dataset(
-        11, TriangleConfig(balanced_cells=False, **kw))
-    strict, _, _ = generate_triangle_dataset(
-        11, TriangleConfig(balanced_cells=True, **kw))
-    assert len(loose) > len(strict)
+    # cell fails and its filled majority sibling is dropped with it
+    config = TriangleConfig(vertex_counts=(6,), samples_per_cell=2,
+                            max_attempts_per_cell=4000)
+    _, _, warnings = generate_triangle_dataset(11, config)
     assert any("fewer than 3 vertices" in w for w in warnings)
+    assert any(w.startswith("dropped n=6 prop=0.75/0.25") and
+               w.endswith("sibling class cell failed") for w in warnings)
 
 
 @settings(max_examples=80, deadline=None)

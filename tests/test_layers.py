@@ -41,8 +41,10 @@ from wl2gnn.layers import (
     wl2_conv,
     wl2_conv_naive,
     _make_mlp,
+    _NP_ACT,
 )
 from wl2gnn.tensor import Tensor, constant
+from wl2gnn.wl import distinguishable
 
 
 # ---------------------------------------------------------------- helpers
@@ -157,6 +159,16 @@ def test_conv_zero_input_gives_sigma_zero():
     params = random_pair_params(rng, enc.width, 3, act="logistic")
     out = wl2_conv(enc, constant(np.zeros_like(enc.z0)), params).data
     assert np.max(np.abs(out - 0.5)) <= 1e-12
+
+
+def test_oracle_logistic_is_the_closed_form():
+    # the oracle must not share the fast path's sigmoid, or the
+    # equivalence checks cannot catch a bug in it
+    x = np.random.default_rng(0).normal(scale=4.0, size=1000)
+    x = np.concatenate([x, [-800.0, -40.0, -0.0, 0.0, 40.0, 800.0]])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+    assert np.array_equal(_NP_ACT["logistic"](x), want)
 
 
 def test_naive_rejects_wrong_row_count():
@@ -358,6 +370,54 @@ def test_forward_model_permutation_invariant(spec):
         batch = combine_units(spec, prepare_units(spec, [graph]))
         logits.append(forward_model(spec, params, batch).data[0, 0])
     assert abs(logits[0] - logits[1]) <= 1e-10
+
+
+def cayley_z4z4(steps):
+    """Cayley graph on Z4 x Z4: vertex (a, b) is 4a + b, joined to
+    (a + s, b + t) for each step (s, t)."""
+    edges = {tuple(sorted((4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)))
+             for a in range(4) for b in range(4) for s, t in steps}
+    return ones_graph(16, tuple(sorted(edges)))
+
+
+# both SRG(16, 6, 2, 2): 2-WL cannot tell them apart, yet they are not
+# isomorphic (the rook's graph has K4s, Shrikhande's has none)
+ROOK_4X4 = cayley_z4z4([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)])
+SHRIKHANDE = cayley_z4z4([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+
+
+@st.composite
+def wl2_equivalent_pairs(draw):
+    """A random graph and a relabelled copy; the SRG pair; or the SRG
+    pair with the same random graph joined to each side."""
+    kind = draw(st.sampled_from(["relabelled", "srg", "srg+random"]))
+    if kind == "srg":
+        return ROOK_4X4, SHRIKHANDE
+    g, _ = draw(random_graph_and_radius(max_n=8))
+    if kind == "srg+random":
+        return disjoint_union([ROOK_4X4, g]), disjoint_union([SHRIKHANDE, g])
+    perm = draw(st.permutations(range(g.n)))
+    return g, ones_graph(g.n, tuple((perm[i], perm[j]) for i, j in g.edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(wl2_equivalent_pairs(), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from(["relu", "logistic"]))
+def test_wl2_outputs_are_bounded_by_2wl(pair, seed, act):
+    """The paper's upper bound: graphs that 2-WL refinement cannot
+    separate get the same logits from any seeded wl2 model, at every
+    radius and under every trainable pooling, up to summation order."""
+    g, h = pair
+    assert distinguishable(g, h, 2) is False
+    for r in (1, 2, 3):
+        for pool_mode in ("mean", "weighted_mean", "sum"):
+            spec = ModelSpec(layer="wl2", t=2, d=6, r=r, pool=pool_mode,
+                             act=act)
+            units = prepare_units(spec, [g, h])
+            params = init_model_params(spec, input_width(spec, units), seed)
+            a, b = forward_model(spec, params,
+                                 combine_units(spec, units)).data[:, 0]
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (r, pool_mode)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.layer)
