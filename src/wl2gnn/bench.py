@@ -2,11 +2,13 @@
 
 Evaluation protocol: stratified outer k-fold CV. Within each training
 fold a stratified 90/10 holdout drives grid selection (ties go to the
-earliest grid entry); the winner is retrained on the full training fold
-with early stopping on holdout loss and the best epoch's weights
-restored, repeated with distinct seeds. Test folds are touched exactly
-once per repeat, after all selection and training is done; the helpers
-below never see test indices.
+earliest grid entry); selection runs only for grids of more than one
+spec, since a one-spec grid has nothing to choose. The winner is
+retrained on the full training fold with early stopping on holdout loss
+and the best epoch's weights restored, repeated with distinct seeds.
+Test folds are touched exactly once per repeat, after all selection and
+training is done; the helpers below never see test indices. Evaluation
+runs without an autodiff graph (`tensor.no_graph`).
 
 Training is Adam on binary cross-entropy over logits, minibatched with
 a fixed batch size (full-batch when the fold fits in one batch).
@@ -117,17 +119,30 @@ def _select(units, idx):
     return [units[i] for i in idx]
 
 
+def _require_labelled(units, labels, name):
+    """Raises `ValueError` unless there is at least one unit and exactly
+    one label per unit."""
+    if len(units) == 0:
+        raise ValueError(f"{name} is empty")
+    if len(labels) != len(units):
+        raise ValueError(f"{len(labels)} labels for {len(units)} {name}")
+
+
 def evaluate_model(spec, params, units, labels, batch_size=256):
-    """Full-dataset loss and accuracy, computed in chunks."""
+    """Full-dataset loss and accuracy, computed in chunks without an
+    autodiff graph."""
+    _require_positive(batch_size=batch_size)
+    _require_labelled(units, labels, "units")
     labels = np.asarray(labels, dtype=np.float64)
     total_loss, correct = 0.0, 0
-    for lo in range(0, len(units), batch_size):
-        chunk = units[lo:lo + batch_size]
-        y = labels[lo:lo + batch_size].reshape(-1, 1)
-        logits = forward_model(spec, params, combine_units(spec, chunk))
-        loss = T.bce(logits, y)
-        total_loss += float(loss.data[0, 0]) * len(chunk)
-        correct += int(np.sum((logits.data > 0.0) == (y > 0.5)))
+    with T.no_graph():
+        for lo in range(0, len(units), batch_size):
+            chunk = units[lo:lo + batch_size]
+            y = labels[lo:lo + batch_size].reshape(-1, 1)
+            logits = forward_model(spec, params, combine_units(spec, chunk))
+            loss = T.bce(logits, y)
+            total_loss += float(loss.data[0, 0]) * len(chunk)
+            correct += int(np.sum((logits.data > 0.0) == (y > 0.5)))
     return total_loss / len(units), correct / len(units)
 
 
@@ -150,6 +165,9 @@ def train_model(spec, units, labels, config, seed,
     A non-finite training or validation loss raises `ValueError`."""
     validate_model_spec(spec)
     _require_positive(epochs=config.epochs, batch_size=config.batch_size)
+    _require_labelled(units, labels, "units")
+    if val_units is not None:
+        _require_labelled(val_units, val_labels, "val_units")
     if config.target_acc is not None and val_units is None:
         raise ValueError("target_acc needs a validation set")
     labels = np.asarray(labels, dtype=np.float64)
@@ -206,15 +224,9 @@ def _unit_cache(grid, graphs):
     return cache
 
 
-def _run_fold(cache, labels, grid, config, dataset, folds, fold):
-    """Selection and repeated retraining for one outer fold. Sees the
-    test fold only for the single final evaluation per repeat."""
-    test_idx = folds[fold]
-    train_idx = np.asarray(sorted(set(range(len(labels)))
-                                  - set(test_idx.tolist())), dtype=np.int64)
-    rng = np.random.default_rng([config.seed, fold])
-    inner_idx, held_idx = stratified_holdout(train_idx, labels,
-                                             config.holdout, rng)
+def _select_spec(cache, labels, grid, config, inner_idx, held_idx, rng):
+    """The grid spec with the best holdout accuracy after training on the
+    inner split; the earliest wins ties."""
     best_spec, best_acc = None, -1.0
     for spec in grid:
         units = cache[_unit_key(spec)]
@@ -225,6 +237,22 @@ def _run_fold(cache, labels, grid, config, dataset, folds, fold):
                               val_labels=labels[held_idx])
         if trained.val_acc > best_acc:
             best_spec, best_acc = spec, trained.val_acc
+    return best_spec
+
+
+def _run_fold(cache, labels, grid, config, dataset, folds, fold):
+    """Selection and repeated retraining for one outer fold. Sees the
+    test fold only for the single final evaluation per repeat."""
+    test_idx = folds[fold]
+    train_idx = np.asarray(sorted(set(range(len(labels)))
+                                  - set(test_idx.tolist())), dtype=np.int64)
+    rng = np.random.default_rng([config.seed, fold])
+    # drawn even for a one-spec grid: retraining early-stops on it
+    inner_idx, held_idx = stratified_holdout(train_idx, labels,
+                                             config.holdout, rng)
+    # a one-spec grid has nothing to select
+    best_spec = grid[0] if len(grid) == 1 else _select_spec(
+        cache, labels, grid, config, inner_idx, held_idx, rng)
     results = []
     units = cache[_unit_key(best_spec)]
     for repeat in range(config.repeats):

@@ -30,10 +30,17 @@ need many thin slots and keeps `np.add.at`. Batches hold their indices
 as `ScatterIndex`es, so every layer of a forward and backward pass
 shares one plan per index; a plain array is wrapped afresh on each
 call.
+
+Inside `with no_graph():` ops record nothing: every node they build has
+no parents, no backward closure and no gradient, so a forward pass that
+is never differentiated (evaluation) keeps no closures, and no
+intermediate array outlives the code that names it. The values are the
+same bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +79,29 @@ def constant(data):
     return Tensor(data, requires_grad=False)
 
 
+# whether ops record their parents and backward closures; `no_graph`
+# clears it for forward passes that are never differentiated
+_record = True
+
+
+@contextmanager
+def no_graph():
+    """Within the block, ops build no graph: every node has no parents,
+    no backward and no gradient, so a forward pass keeps no closure or
+    intermediate array alive past its last use. The switch is
+    module-wide, shared by every thread of the process; the previous
+    state comes back when the block exits, an exception included."""
+    global _record
+    saved, _record = _record, False
+    try:
+        yield
+    finally:
+        _record = saved
+
+
 def _node(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _record and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -237,15 +264,18 @@ def segment_min(x, seg, n_segments):
 
 
 def _sigmoid(x):
-    """1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|), in
-    place on two buffers. The numerator max(e, x >= 0) is 1 where x >= 0
-    (as e <= 1) and e below, NaN included."""
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
-    e += 1.0
-    out /= e
+    """1 / (1 + exp(-x)) in four passes over one new buffer: negate,
+    then exp, add 1 and reciprocal in place. At most 4 ulp from the
+    two-branch form (1 / (1 + e) for x >= 0, e / (1 + e) below,
+    e = exp(-|x|)) where that form's output is normal, and equal to it
+    at +-inf and +-0; NaN stays NaN. For x below about -708.4 the output
+    is subnormal and loses precision, and below about -709.8, where
+    exp(-x) overflows, it is 0."""
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
     return out
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from wl2gnn.bench import (
     _random_regular_circulant,
     _select,
 )
-from wl2gnn.cli import main
+from wl2gnn.cli import DEFAULT_GRID, main
 from wl2gnn.graphs import Graph, save_tu_dataset
 from wl2gnn.layers import ModelSpec, init_model_params, input_width, prepare_units
 
@@ -150,6 +151,38 @@ def test_train_model_target_needs_a_validation_set():
                     seed=0)
 
 
+def test_evaluate_model_rejects_empty_mislabelled_or_unbatched_units():
+    graphs, labels = separable_dataset(6)
+    units = prepare_units(BASELINE, graphs)
+    params = init_model_params(BASELINE, input_width(BASELINE, graphs), 0)
+    with pytest.raises(ValueError, match="units is empty"):
+        evaluate_model(BASELINE, params, [], [])
+    with pytest.raises(ValueError, match="3 labels for 6 units"):
+        evaluate_model(BASELINE, params, units, labels[:3])
+    # a negative batch size used to score nothing and return (0.0, 0.0)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            evaluate_model(BASELINE, params, units, labels, batch_size=size)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("fewer-labels", "5 labels for 6 units"),
+    ("no-units", "units is empty"),
+    ("empty-validation", "val_units is empty"),
+])
+def test_train_model_rejects_empty_or_mislabelled_units(case, message):
+    graphs, labels = separable_dataset(6)
+    units = prepare_units(BASELINE, graphs)
+    args = {"fewer-labels": (units, labels[:5], {}),
+            "no-units": ([], [], {}),
+            "empty-validation": (units, labels,
+                                 {"val_units": [], "val_labels": []})}
+    units, labels, kwargs = args[case]
+    with pytest.raises(ValueError, match=message):
+        train_model(BASELINE, units, labels, TrainConfig(epochs=1), seed=0,
+                    **kwargs)
+
+
 def test_train_model_scores_validation_set_once_per_epoch(monkeypatch):
     graphs, labels = separable_dataset()
     units = prepare_units(BASELINE, graphs)
@@ -266,6 +299,29 @@ def test_run_fold_evaluates_only_train_and_test_folds(monkeypatch):
     run_cv(graphs, labels, [BASELINE, WL2], config)
     assert len(epochs) == config.folds * (2 + config.repeats)
     assert len(evals) == sum(epochs) + config.folds * config.repeats * 2
+
+
+def _without_seconds(results):
+    return [replace(r, seconds=0.0) for r in results]
+
+
+def test_run_cv_skips_selection_for_one_spec(monkeypatch):
+    # the selection run of a one-spec grid is skipped, and with it the
+    # only use of the fold's selection seeds, so the rows do not change
+    graphs, labels = separable_dataset(16)
+    config = quick_config(folds=2, repeats=2)
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return train_model(*args, **kwargs)
+    monkeypatch.setattr(bench, "train_model", counting_train)
+    one = run_cv(graphs, labels, [WL2], config)
+    assert len(calls) == config.folds * config.repeats
+    calls.clear()
+    two = run_cv(graphs, labels, [WL2, WL2], config)
+    assert len(calls) == config.folds * (2 + config.repeats)
+    assert _without_seconds(one) == _without_seconds(two)
 
 
 def test_run_cv_input_validation():
@@ -472,6 +528,20 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"{field} must be at least 1" in err[0]
     assert not out.exists()
+
+
+def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
+    graphs, labels = separable_dataset(12)
+    save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"{DEFAULT_GRID[0]}\n{DEFAULT_GRID[0]}\n")
+    tables = []
+    for name, flags in (("one", []), ("two", ["--grid-file", str(grid)])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["cv", "--dataset", str(tmp_path / "TOY"),
+                     *CLI_BASE["cv"], *flags, "--out", str(out)]) == 0
+        tables.append(_without_seconds(read_results_csv(out)))
+    assert len(tables[0]) == 2 and tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -372,6 +372,35 @@ def test_forward_model_permutation_invariant(spec):
     assert abs(logits[0] - logits[1]) <= 1e-10
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.layer)
+def test_forward_model_without_graph_matches_recorded_pass(spec, monkeypatch):
+    gs = [featured(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2)), seed=3),
+          featured(4, ((0, 1), (1, 2), (2, 3)), seed=4)]
+    units = prepare_units(spec, gs)
+    params = init_model_params(spec, input_width(spec, units), seed=5)
+    batch = combine_units(spec, units)
+    targets = np.array([[1.0], [0.0]])
+    recorded = forward_model(spec, params, batch)
+    recorded_loss = T.bce(recorded, targets)
+    assert recorded_loss.requires_grad
+    built, node = [], T._node
+
+    def recording_node(*args):
+        built.append(node(*args))
+        return built[-1]
+    monkeypatch.setattr(T, "_node", recording_node)
+    with T.no_graph():
+        logits = forward_model(spec, params, batch)
+        loss = T.bce(logits, targets)
+    assert built
+    assert all(not t.requires_grad and t._parents == () and t._backward is None
+               for t in built)
+    assert np.array_equal(logits.data.view(np.int64),
+                          recorded.data.view(np.int64))
+    assert np.array_equal(loss.data.view(np.int64),
+                          recorded_loss.data.view(np.int64))
+
+
 def cayley_z4z4(steps):
     """Cayley graph on Z4 x Z4: vertex (a, b) is 4a + b, joined to
     (a + s, b + t) for each step (s, t)."""

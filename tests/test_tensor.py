@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wl2gnn.tensor as T
@@ -173,13 +173,27 @@ def test_scatter_sum_and_gather_adjoint_match_add_at_bitwise(seed, side,
         assert np.array_equal(_bits(z.grad), _bits(expected))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
-def test_sigmoid_matches_two_branch_form_bitwise(x):
+@example(np.array([[np.inf, -np.inf, 0.0, -0.0, np.nan, -np.nan]]))
+def test_sigmoid_is_within_4_ulp_of_two_branch_form(x):
     e = np.exp(-np.abs(x))
     expected = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    assert np.array_equal(_bits(T._sigmoid(x)), _bits(expected))
+    before = x.copy()
+    y = T._sigmoid(x)
+    assert np.array_equal(_bits(x), _bits(before))  # input left alone
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(y), nan)
+    special = np.isinf(x) | (x == 0.0)
+    assert np.array_equal(_bits(y[special]), _bits(expected[special]))
+    # both outputs lie in [0, 1], where bit patterns order like values
+    normal = expected >= np.finfo(float).tiny
+    assert np.all(np.abs(_bits(y)[normal] - _bits(expected)[normal]) <= 4)
+    subnormal = ~nan & ~normal
+    assert np.all(np.abs(y[subnormal] - expected[subnormal])
+                  <= np.finfo(float).tiny)
+
 
 
 def _index_case(rng, n, side):
@@ -264,6 +278,25 @@ def test_deep_chain_does_not_recurse():
         y = T.scale(y, 1.0)
     T.backward(y)  # iterative topo order, no RecursionError
     assert x.grad[0, 0] == 1.0
+
+
+def test_no_graph_records_nothing_and_restores_on_error():
+    x = leaf([[1.0, -2.0]])
+    with T.no_graph():
+        y = T.logistic(T.scale(x, 3.0))
+        with T.no_graph():  # nesting keeps the switch off
+            pass
+        z = T.scale(x, 2.0)
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert not z.requires_grad and z._parents == () and z._backward is None
+    assert np.array_equal(y.data, T.logistic(T.scale(x, 3.0)).data)
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.no_graph():
+            raise RuntimeError("inside")
+    out = T.sum_all(T.scale(x, 2.0))
+    assert out.requires_grad
+    T.backward(out)
+    assert x.grad.tolist() == [[2.0, 2.0]]
 
 
 # --------------------------------------------------- central difference sweep
