@@ -283,7 +283,8 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
     _require_positive(epochs=config.epochs, batch_size=config.batch_size,
-                      repeats=config.repeats)
+                      repeats=config.repeats, patience=config.patience,
+                      workers=config.workers)
     grid = [validate_model_spec(s) for s in grid]
     if not grid:
         raise ValueError("empty model grid")

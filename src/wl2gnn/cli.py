@@ -41,7 +41,9 @@ def _dataset_flags(sub):
 
 def _cmd_cv(args):
     graphs, labels, name = _load_dataset(args)
-    radius = args.radius or DEFAULT_RADII.get(name)
+    radius = args.radius
+    if radius is None:
+        radius = DEFAULT_RADII.get(name)
     if args.grid_file:
         with open(args.grid_file) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()

@@ -5,6 +5,13 @@ edges (i, j) with i <= j, float feature matrices for vertices and edges,
 and optional integer vertex labels. Base graphs built by the generators
 carry no self-loops; `graph_power` introduces one per vertex because a
 vertex has distance zero to itself.
+
+The triangle dataset is drawn attempt by attempt from one seeded
+generator, so each attempt's random draws fix every later cell's graphs.
+An attempt makes three or four `rng.choice` calls; the rest is a few
+array operations on a boolean edge vector indexed by pair code, with
+per-n lookup tables built once per vertex count, and a `Graph` only for
+an accepted draw.
 """
 
 from __future__ import annotations
@@ -264,47 +271,64 @@ class TriangleConfig:
     max_attempts_per_cell: int = 10_000
 
 
-def _monochromatic_triangles(adj_matrix, color_ids):
+def _pair_tables(n):
+    """The sampler's tables for n vertices: the pairs i < j in row-major
+    order, whose positions are their pair codes, and an (n, n) table of
+    the code of (a, b) in either order. The diagonal gets code
+    n(n-1)/2, one past the last pair, so an edge vector with a spare
+    False slot reads it as absent."""
+    pair_i, pair_j = np.triu_indices(n, 1)
+    pair_code = np.full((n, n), len(pair_i), dtype=np.intp)
+    codes = np.arange(len(pair_i))
+    pair_code[pair_i, pair_j] = codes
+    pair_code[pair_j, pair_i] = codes
+    return pair_i, pair_j, pair_code
+
+
+def _monochromatic_triangles(present, pair_code, colors):
     """Triangles whose three vertices share a color: trace(M^3) / 6 on
-    the adjacency M restricted to same-colored pairs."""
-    same = adj_matrix * (color_ids[:, None] == color_ids[None, :])
-    return int(np.round(np.sum((same @ same) * same))) // 6
+    the adjacency M restricted to same-colored pairs. `present` marks
+    the edges by pair code and holds False at the diagonal's code."""
+    same = present[pair_code] & (colors[:, None] == colors)
+    m = same.astype(np.float64)
+    # 0/1 products sum to exact integers in float64
+    return int(np.vdot(m @ m, m)) // 6
 
 
-def _sample_triangle_graph(rng, n, n_a, m_target, planted, pair_i, pair_j):
+def _sample_triangle_graph(rng, n, n_a, m_target, planted, pair_i, pair_j,
+                           pair_code):
+    """One attempt at a graph with exactly one unicolored triangle, of
+    color `planted`; None when the draw has another one.
+
+    The random draws are, in order: the n_a vertices of color 0, three
+    vertices of the planted color, m_target pair codes and, when the
+    triangle lacks some of its pairs, as many of the other picked pairs
+    to drop so the edge count stays m_target.
+    """
     colors = np.ones(n, dtype=np.int64)
     colors[rng.choice(n, size=n_a, replace=False)] = 0
-    planted_pool = np.flatnonzero(colors == planted)
+    planted_pool = np.nonzero(colors == planted)[0]
     tri = rng.choice(planted_pool, size=3, replace=False)
     pick = rng.choice(len(pair_i), size=m_target, replace=False)
-    pick_i, pick_j = pair_i[pick], pair_j[pick]
-    adj = np.zeros((n, n), dtype=np.float64)
-    adj[pick_i, pick_j] = 1.0
-    adj[pick_j, pick_i] = 1.0
-    tri_pairs = [(min(a, b), max(a, b)) for a, b in
-                 ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))]
-    missing = [(a, b) for a, b in tri_pairs if adj[a, b] == 0.0]
-    if missing:
-        # plant, then drop as many non-triangle edges to keep the count;
-        # picked pairs have i < j, like the triangle's
-        on_tri = np.zeros(len(pick), dtype=bool)
-        for a, b in tri_pairs:
-            on_tri |= (pick_i == a) & (pick_j == b)
-        others_i, others_j = pick_i[~on_tri], pick_j[~on_tri]
-        if len(others_i) < len(missing):
-            return None
-        for a, b in missing:
-            adj[a, b] = adj[b, a] = 1.0
-        drop = rng.choice(len(others_i), size=len(missing), replace=False)
-        adj[others_i[drop], others_j[drop]] = 0.0
-        adj[others_j[drop], others_i[drop]] = 0.0
-    if _monochromatic_triangles(adj, colors) != 1:
+    present = np.zeros(len(pair_i) + 1, dtype=bool)
+    present[pick] = True
+    tri_codes = pair_code[tri, tri[[1, 2, 0]]]
+    n_missing = 3 - np.count_nonzero(present[tri_codes])
+    if n_missing:
+        # plant, then drop as many of the other picked pairs, in pick
+        # order, to keep the count
+        present[tri_codes] = False
+        others = pick[present[pick]]
+        present[tri_codes] = True
+        drop = rng.choice(len(others), size=n_missing, replace=False)
+        present[others[drop]] = False
+    if _monochromatic_triangles(present, pair_code, colors) != 1:
         return None
-    ii, jj = np.nonzero(np.triu(adj, 1))
+    codes = np.flatnonzero(present)
+    edges = zip(pair_i[codes].tolist(), pair_j[codes].tolist())
     features = np.zeros((n, 2))
     features[np.arange(n), colors] = 1.0
-    return Graph(n, tuple(zip(ii.tolist(), jj.tolist())),
-                 vertex_features=features,
+    return Graph(n, tuple(edges), vertex_features=features,
                  vertex_labels=tuple(colors.tolist()))
 
 
@@ -324,7 +348,7 @@ def generate_triangle_dataset(seed, config=None):
     rng = np.random.default_rng(seed)
     graphs, labels, warnings = [], [], []
     for n in config.vertex_counts:
-        pair_i, pair_j = np.triu_indices(n, 1)
+        pair_i, pair_j, pair_code = _pair_tables(n)
         for prop in config.proportions:
             n_a = int(round(prop[0] * n))
             n_b = n - n_a
@@ -350,7 +374,8 @@ def generate_triangle_dataset(seed, config=None):
                             and attempts < config.max_attempts_per_cell:
                         attempts += 1
                         g = _sample_triangle_graph(rng, n, n_a, m_target,
-                                                   planted, pair_i, pair_j)
+                                                   planted, pair_i, pair_j,
+                                                   pair_code)
                         if g is not None:
                             cell_graphs[planted].append(g)
                     if len(cell_graphs[planted]) < config.samples_per_cell:

@@ -512,10 +512,14 @@ CLI_BASE = {
     ("cv", ["--batch-size", "-1"], "batch_size"),
     ("cv", ["--batch-size", "0"], "batch_size"),
     ("cv", ["--epochs", "0"], "epochs"),
+    ("cv", ["--patience", "0"], "patience"),
+    ("cv", ["--workers", "0"], "workers"),
+    ("cv", ["--workers", "-2"], "workers"),
     ("timing", ["--epochs", "0"], "epochs"),
     ("timing", ["--graphs", "0"], "n_graphs"),
 ], ids=["cv-repeats-0", "cv-batch-size-neg", "cv-batch-size-0", "cv-epochs-0",
-        "timing-epochs-0", "timing-graphs-0"])
+        "cv-patience-0", "cv-workers-0", "cv-workers-neg", "timing-epochs-0",
+        "timing-graphs-0"])
 def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
     graphs, labels = separable_dataset(16)
     save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
@@ -527,6 +531,20 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"{field} must be at least 1" in err[0]
+    assert not out.exists()
+
+
+def test_cli_cv_rejects_radius_zero_over_the_default_radius(tmp_path, capsys):
+    # TRIANGLE has a default radius, which an explicit 0 must not fall back to
+    graphs, labels = separable_dataset(16)
+    save_tu_dataset(graphs, labels, tmp_path / "TRIANGLE", "TRIANGLE")
+    out = tmp_path / "out.csv"
+    code = main(["cv", "--dataset", str(tmp_path / "TRIANGLE"),
+                 *CLI_BASE["cv"], "--radius", "0", "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "t, d and r must be positive" in err[0]
     assert not out.exists()
 
 

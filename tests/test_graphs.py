@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 
 import numpy as np
@@ -19,6 +20,7 @@ from wl2gnn.graphs import (
     load_tu_dataset,
     save_tu_dataset,
     _monochromatic_triangles,
+    _pair_tables,
     _sample_triangle_graph,
 )
 
@@ -277,6 +279,35 @@ def test_triangle_dataset_is_reproducible():
         assert a.vertex_labels == b.vertex_labels
 
 
+def triangle_dataset_digest(graphs, labels, warnings):
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(np.int64(g.n).tobytes())
+        h.update(np.asarray(g.edges, dtype=np.int64).tobytes())
+        h.update(np.asarray(g.vertex_labels, dtype=np.int64).tobytes())
+        h.update(g.vertex_features.tobytes())
+    h.update(np.asarray(labels, dtype=np.int64).tobytes())
+    h.update("\n".join(warnings).encode())
+    return h.hexdigest()
+
+
+def test_triangle_dataset_bytes_are_pinned():
+    # the digest pins the generator's whole random stream: the sampler's
+    # draws, the stop at max_attempts_per_cell and the dropped siblings
+    config = TriangleConfig(vertex_counts=(8, 10), samples_per_cell=6,
+                            max_attempts_per_cell=2000)
+    graphs, labels, warnings = generate_triangle_dataset(7, config)
+    assert len(graphs) == 48
+    assert "skipped n=10 prop=0.75/0.25 density=0.5 class=A: 0/6 samples " \
+           "after 2000 attempts" in warnings
+    assert "skipped n=10 prop=0.25/0.75 density=0.5 class=B: 1/6 samples " \
+           "after 2000 attempts" in warnings
+    assert "dropped n=10 prop=0.25/0.75 density=0.25 class=B: sibling " \
+           "class cell failed" in warnings
+    assert triangle_dataset_digest(graphs, labels, warnings) == (
+        "56385a32b4abe86a1d007e1fb0b9d52c181899f5fdae4f9fb9699cd8da82c436")
+
+
 def test_triangle_dataset_postconditions():
     graphs, labels, _ = generate_triangle_dataset(11, SMALL)
     assert len(graphs) > 0
@@ -324,14 +355,17 @@ def test_triangle_dataset_drops_orphan_cells():
 def test_monochromatic_triangle_count_matches_enumeration(case):
     mask, colors = case
     n = len(colors)
-    pairs = list(itertools.combinations(range(n), 2))
-    adj = np.zeros((n, n))
-    for (i, j), keep in zip(pairs, mask):
-        adj[i, j] = adj[j, i] = float(keep)
+    # combinations yield the pairs in pair-code order
+    edges = {p for p, keep in
+             zip(itertools.combinations(range(n), 2), mask) if keep}
+    present = np.zeros(len(mask) + 1, dtype=bool)
+    present[:-1] = mask
     brute = sum(1 for a, b, c in itertools.combinations(range(n), 3)
                 if colors[a] == colors[b] == colors[c]
-                and adj[a, b] and adj[b, c] and adj[a, c])
-    assert _monochromatic_triangles(adj, np.asarray(colors)) == brute
+                and {(a, b), (b, c), (a, c)} <= edges)
+    _, _, pair_code = _pair_tables(n)
+    assert _monochromatic_triangles(present, pair_code,
+                                    np.asarray(colors)) == brute
 
 
 def loop_triangle_sample(rng, n, n_a, m_target, planted, pair_i, pair_j):
@@ -360,7 +394,7 @@ def loop_triangle_sample(rng, n, n_a, m_target, planted, pair_i, pair_j):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 12),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 32),
        st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([0.25, 0.5]),
        st.integers(0, 1))
 def test_triangle_sampler_matches_loop_form(seed, n, prop, density, planted):
@@ -368,11 +402,11 @@ def test_triangle_sampler_matches_loop_form(seed, n, prop, density, planted):
     if min(n_a, n - n_a) < 3:
         return
     m_target = int(round(density * n * n / 2))
-    pair_i, pair_j = np.triu_indices(n, 1)
+    pair_i, pair_j, pair_code = _pair_tables(n)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
         g = _sample_triangle_graph(rng, n, n_a, m_target, planted,
-                                   pair_i, pair_j)
+                                   pair_i, pair_j, pair_code)
         want = loop_triangle_sample(ref_rng, n, n_a, m_target, planted,
                                     pair_i, pair_j)
         assert (None if g is None else (g.edges, g.vertex_labels)) == want
