@@ -18,19 +18,28 @@ row twice. Triples are grouped by target row; within a group the common
 neighbors are ordered endpoints first (i, then j), then the remaining
 vertices ascending.
 
-`encode` builds all of this with array operations on the power graph's
-n x n boolean adjacency and an n x n table of row numbers, so its memory
-is quadratic in the vertex count of one graph.
+`encode_all` builds the encodings of a graph list run by run, with
+array operations over the disjoint union of consecutive graphs: flat
+tables over each graph's n x n vertex pairs hold the power adjacency and
+the row of each power pair, and the candidates for l in row (i, j) are
+the power neighbors of i. A run's graphs have summed n^3 at most
+`_RUN_CUBES` unless it is one larger graph, and n^3 bounds both a
+graph's candidates and its table entries, so transient memory does not
+grow with the list. `encode` is `encode_all` on one graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .graphs import GraphError, graph_power
+from .graphs import GraphError, check_feature_widths
+# not called here: `graph_power` is the oracle of the row order, and the
+# benchmark's tracer still wraps this name on this module
+from .graphs import graph_power  # noqa: F401
 from .tensor import ScatterIndex
 
 
@@ -81,53 +90,226 @@ class Wl2Encoding:
                         self.ref_g2.tolist()))
 
 
+# n^3 bounds both the candidate triples of an n-vertex graph and its
+# pair-table entries, of which a run holds a few arrays each
+_RUN_CUBES = 1 << 20
+
+
 def encode(g, r):
     """Encodes one graph against its r-th power."""
-    power = graph_power(g, r)
-    n = power.n
-    edges = np.asarray(power.edges, dtype=np.int64).reshape(-1, 2)
-    # adj[i, j]: (i, j) is an edge of the power graph; a vertex is its own
-    # neighbor via its self-loop
-    adj = np.zeros((n, n), dtype=bool)
-    adj[edges[:, 0], edges[:, 1]] = True
-    adj[edges[:, 1], edges[:, 0]] = True
-    loose = np.flatnonzero(~adj.diagonal())
-    if loose.size:
-        v = int(loose[0])
-        raise GraphError(f"corrupt power graph: endpoints of {(v, v)} "
-                         "missing from their own neighborhood")
-    loops = np.repeat(np.arange(n, dtype=np.int64), 2).reshape(n, 2)
-    order = np.vstack([loops, edges[edges[:, 0] != edges[:, 1]]])
-    m = len(order)
-    row_of = np.zeros((n, n), dtype=np.int64)
-    row_of[order[:, 0], order[:, 1]] = np.arange(m)
-    row_of[order[:, 1], order[:, 0]] = np.arange(m)
+    return encode_all([g], r)[0]
 
-    dv = g.vertex_features.shape[1]
-    de = g.edge_features.shape[1]
+
+def encode_all(graphs, r):
+    """Encodes every graph of a list against its r-th power; returns one
+    `Wl2Encoding` per graph, equal to what `encode` gives for it."""
+    graphs = list(graphs)
+    if r < 1:
+        raise GraphError(f"radius must be >= 1, got {r}")
+    check_feature_widths(graphs)
+    for k, g in enumerate(graphs):
+        if g.n == 0:
+            raise GraphError(f"graph {k} is empty: its graph power is "
+                             "undefined")
+    out = []
+    lo, cubes = 0, 0
+    for k, g in enumerate(graphs):
+        if k > lo and cubes + g.n ** 3 > _RUN_CUBES:
+            out.extend(_encode_run(graphs[lo:k], r))
+            lo, cubes = k, 0
+        cubes += g.n ** 3
+    if lo < len(graphs):
+        out.extend(_encode_run(graphs[lo:], r))
+    return out
+
+
+def _offsets(counts):
+    """[0, c0, c0 + c1, ...] as int64."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _union_edges(graphs, voff):
+    """The base edges of the disjoint union, as an (E, 2) int64 array of
+    union vertex ids in graph order, and the edge offset of each graph."""
+    counts = [len(g.edges) for g in graphs]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
+        g.edges for g in graphs)), dtype=np.int64, count=2 * sum(counts))
+    base = flat.reshape(-1, 2)
+    base += np.repeat(voff[:-1], counts)[:, None]
+    return base, _offsets(counts)
+
+
+def _csr_gather(ptr, keys):
+    """Every position ptr[k] .. ptr[k + 1] - 1 for each k in `keys`, in
+    order; returns (index into `keys`, position) per gathered entry."""
+    counts = ptr[keys + 1] - ptr[keys]
+    owner = np.repeat(np.arange(len(keys)), counts)
+    shift = np.repeat(ptr[keys] - (np.cumsum(counts) - counts), counts)
+    return owner, np.arange(len(owner)) + shift
+
+
+def _encode_run(graphs, r):
+    """`encode_all` on a run of graphs, through their disjoint union of
+    N vertices. Each graph's n x n vertex pairs are numbered row-major
+    one graph after another; pair (u, v) of one graph has the code
+    `cbase[u] + v`, and flat tables indexed by code hold the power
+    adjacency and the row of each power pair."""
+    sizes = np.asarray([g.n for g in graphs], dtype=np.int64)
+    voff = _offsets(sizes)
+    N = int(voff[-1])
+    gid = np.repeat(np.arange(len(graphs)), sizes)
+    n_of = sizes[gid]
+    code_start = _offsets(n_of)
+    n_codes = int(code_start[-1])
+    cbase = code_start[:-1] - voff[gid]
+
+    def pairs_of(codes):
+        u = np.searchsorted(code_start, codes, side="right") - 1
+        return u, codes - cbase[u]
+
+    base, _ = _union_edges(graphs, voff)
+    is_proper = base[:, 0] != base[:, 1]
+    a, b = np.concatenate([base[is_proper], base[is_proper, ::-1]]).T
+    adj = np.zeros(n_codes, dtype=bool)
+    adj[cbase[a] + b] = True
+    _, adj_dst = pairs_of(np.flatnonzero(adj))
+    adj_ptr = _offsets(np.bincount(a, minlength=N))
+
+    # directed pairs within distance r: loops and base edges, then r - 1
+    # steps from the pairs that the previous step reached first
+    reach = adj.copy()
+    reach[cbase + np.arange(N)] = True
+    u, w = a, b
+    for _ in range(r - 1):
+        owner, pos = _csr_gather(adj_ptr, w)
+        new = np.zeros(n_codes, dtype=bool)
+        new[cbase[u[owner]] + adj_dst[pos]] = True
+        new &= ~reach
+        reach |= new
+        u, w = pairs_of(np.flatnonzero(new))
+    power = np.flatnonzero(reach)
+    src, dst = pairs_of(power)
+    power_ptr = _offsets(np.bincount(src, minlength=N))
+
+    # rows per graph: its loops, then its proper pairs; the q-th proper
+    # pair of the union lands on row voff[g + 1] + q
+    upper = src < dst
+    up_src, up_dst = src[upper], dst[upper]
+    proper = np.bincount(gid[up_src], minlength=len(graphs))
+    loop_row = np.arange(N) + _offsets(proper)[gid]
+    up_row = voff[gid[up_src] + 1] + np.arange(len(up_src))
+    row_of = np.empty(n_codes, dtype=np.int64)
+    row_of[cbase + np.arange(N)] = loop_row
+    row_of[cbase[up_src] + up_dst] = up_row
+    row_of[cbase[up_dst] + up_src] = up_row
+    m = N + len(up_row)
+    rows = np.empty((m, 2), dtype=np.int64)
+    rows[loop_row] = np.arange(N)[:, None]
+    rows[up_row, 0] = up_src
+    rows[up_row, 1] = up_dst
+
+    dv = graphs[0].vertex_features.shape[1]
+    de = graphs[0].edge_features.shape[1]
     z0 = np.zeros((m, dv + (de if de else 1)))
-    z0[:n, :dv] = g.vertex_features
-    base = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    proper = np.flatnonzero(base[:, 0] != base[:, 1])
-    base_rows = row_of[base[proper, 0], base[proper, 1]]
+    z0[loop_row, :dv] = np.vstack([g.vertex_features for g in graphs])
+    base_rows = row_of[cbase[base[is_proper, 0]] + base[is_proper, 1]]
     if de:
-        z0[base_rows, dv:] = g.edge_features[proper]
+        z0[base_rows, dv:] = np.vstack(
+            [g.edge_features for g in graphs])[is_proper]
     else:
-        z0[:n, dv] = 1.0
+        z0[loop_row, dv] = 1.0
         z0[base_rows, dv] = 1.0
 
-    # one triple per row k = (i, j) and common neighbor l, grouped by row;
-    # within a row l = i first, then l = j, then the others ascending
-    ref_l, l = np.nonzero(adj[order[:, 0]] & adj[order[:, 1]])
-    i, j = order[ref_l, 0], order[ref_l, 1]
-    rank = np.where(l == i, 0, np.where(l == j, 1, 2))
-    keep = np.lexsort((l, rank, ref_l))
-    ref_l, l, i, j = ref_l[keep], l[keep], i[keep], j[keep]
+    # the triples of row t = (i, j): l = i (pairs (i, i) and (i, j)),
+    # l = j if j != i (pairs (i, j) and (j, j)), then every other l in
+    # the power neighborhood of i, ascending, with (l, j) a power pair
+    i, j = rows[:, 0], rows[:, 1]
+    owner, pos = _csr_gather(power_ptr, i)
+    l, jo = dst[pos], j[owner]
+    lj = cbase[l] + jo
+    keep = reach[lj] & (l != i[owner]) & (l != jo)
+    t_o = owner[keep]
+    front = 1 + (j != i)
+    others = np.bincount(t_o, minlength=m)
+    counts = front + others
+    start = np.cumsum(counts) - counts
+    ref_l = np.repeat(np.arange(m), counts)
+    ref_g1 = np.empty(len(ref_l), dtype=np.int64)
+    ref_g2 = np.empty(len(ref_l), dtype=np.int64)
+    ref_g1[start] = loop_row[i]
+    ref_g2[start] = np.arange(m)
+    two = np.flatnonzero(front == 2)
+    ref_g1[start[two] + 1] = two
+    ref_g2[start[two] + 1] = loop_row[j[two]]
+    # the others of a row follow its front, in candidate order
+    ahead = start + front - (np.cumsum(others) - others)
+    dest = np.arange(len(t_o)) + ahead[t_o]
+    ref_g1[dest] = row_of[power[pos[keep]]]
+    ref_g2[dest] = row_of[lj[keep]]
 
-    offsets = np.asarray([[0, m, 0, len(ref_l)]], dtype=np.int64)
-    return Wl2Encoding(z0=z0, ref_l=ref_l.astype(np.int64, copy=False),
-                       ref_g1=row_of[i, l], ref_g2=row_of[l, j],
-                       rows=order, graph_offsets=offsets, radius=r)
+    # each graph gets arrays of its own, counting rows and vertices from
+    # 0: views would keep the run's arrays alive as long as any unit, and
+    # that heap layout made later training steps page-fault far more
+    rb = _offsets(sizes + proper).tolist()
+    tb = _offsets(np.add.reduceat(counts, rb[:-1])).tolist()
+    vb = voff.tolist()
+    out = []
+    for k in range(len(graphs)):
+        rs, re, ts, te = rb[k], rb[k + 1], tb[k], tb[k + 1]
+        out.append(Wl2Encoding(
+            z0=z0[rs:re].copy(), ref_l=ref_l[ts:te] - rs,
+            ref_g1=ref_g1[ts:te] - rs, ref_g2=ref_g2[ts:te] - rs,
+            rows=rows[rs:re] - vb[k],
+            graph_offsets=np.asarray([[0, re - rs, 0, te - ts]],
+                                     dtype=np.int64),
+            radius=r))
+    return out
+
+
+def edge_neighborhood_pairs(graphs):
+    """The edges of `edge_neighborhood_graph(g)` for every graph of a
+    list, as (p, 2) int64 arrays of the rows of `encode(g, 1)`, in the
+    same canonical order: the loop of v meets each edge at v, then two
+    edges meet at their shared endpoint.
+
+    Works on the disjoint union, with each vertex's incident edges in
+    canonical order; no per-graph `Graph` is built.
+    """
+    graphs = list(graphs)
+    if not graphs:
+        return []
+    voff = _offsets([g.n for g in graphs])
+    base, eoff = _union_edges(graphs, voff)
+    looped = np.flatnonzero(base[:, 0] == base[:, 1])
+    if looped.size:
+        k = int(np.searchsorted(eoff, looped[0], side="right")) - 1
+        v = int(base[looped[0], 0] - voff[k])
+        raise GraphError(f"graph {k} has a self-loop at vertex {v}: the edge "
+                         "neighborhood graph expects a loop-free base graph")
+    # rows of the radius-1 encodings, one after another: graph g's loop
+    # v on row v + eoff[g], its edge k on row voff[g + 1] + eoff[g] + k
+    n_edges = len(base)
+    vgid = np.repeat(np.arange(len(graphs)), np.diff(voff))
+    egid = np.repeat(np.arange(len(graphs)), np.diff(eoff))
+    edge_row = voff[egid + 1] + np.arange(n_edges)
+    vert = base.T.ravel()
+    edge = np.tile(np.arange(n_edges), 2)
+    order = np.lexsort((edge, vert))
+    vert, edge = vert[order], edge[order]
+    # each incidence meets the later ones of its vertex
+    owner, pos = _csr_gather(_offsets(np.bincount(vert, minlength=voff[-1])),
+                             vert)
+    later = pos > owner
+    first = np.concatenate([vert + eoff[vgid[vert]],
+                            edge_row[edge[owner[later]]]])
+    second = np.concatenate([edge_row[edge], edge_row[edge[pos[later]]]])
+    keep = np.argsort(first * (voff[-1] + n_edges) + second)
+    pairs = np.column_stack([first[keep], second[keep]])
+    row_bounds = voff + eoff
+    bounds = np.searchsorted(pairs[:, 0], row_bounds).tolist()
+    row_bounds = row_bounds.tolist()
+    return [pairs[bounds[k]:bounds[k + 1]] - row_bounds[k]
+            for k in range(len(graphs))]
 
 
 def combine_encodings(encodings):

@@ -105,6 +105,17 @@ class Graph:
         return any(i == j for i, j in self.edges)
 
 
+def check_feature_widths(graphs):
+    """Raises a GraphError naming the first graph whose vertex or edge
+    feature width differs from the first graph's."""
+    widths = [(g.vertex_features.shape[1], g.edge_features.shape[1])
+              for g in graphs]
+    for k, own in enumerate(widths):
+        if own != widths[0]:
+            raise GraphError(f"graph {k} has vertex and edge feature widths "
+                             f"{own}, graph 0 has {widths[0]}")
+
+
 def cycle_graph(n):
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
@@ -151,10 +162,7 @@ def disjoint_union(graphs):
     graphs = list(graphs)
     if not graphs:
         raise GraphError("disjoint union of zero graphs")
-    dv = {g.vertex_features.shape[1] for g in graphs}
-    de = {g.edge_features.shape[1] for g in graphs}
-    if len(dv) > 1 or len(de) > 1:
-        raise GraphError("feature dimensions differ between union components")
+    check_feature_widths(graphs)
     edges = []
     offset = 0
     for g in graphs:

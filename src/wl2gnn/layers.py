@@ -21,11 +21,12 @@ weighted vertex-sum networks into stacks of pair convolutions.
 The four model families (`wl2`, `gin`, `gnn2`, `baseline`) are the
 entries of `FAMILIES`, and every family-specific step of model
 assembly, training and cross-validation is a lookup there. A new
-family provides one `Family` record: how to prepare one graph's
-cacheable unit and combine units into a batch, a batch's initial
-feature rows, one conv layer's parameters and forward step, the graph
-of each row, the reference-triple count, and whether the power radius
-`r` changes its units.
+family provides one `Family` record: how to prepare the cacheable units
+of a graph list (one per graph, built in one pass over the list) and
+combine units into a batch, a batch's initial feature rows, one conv
+layer's parameters and forward step, the graph of each row, the
+reference-triple count, and whether the power radius `r` changes its
+units.
 """
 
 from __future__ import annotations
@@ -37,8 +38,14 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .encoding import Wl2Encoding, combine_encodings, encode
-from .graphs import GraphError, edge_neighborhood_graph
+from .encoding import (Wl2Encoding, combine_encodings, edge_neighborhood_pairs,
+                       encode_all)
+from .graphs import GraphError, check_feature_widths
+
+# not called here since units are prepared a list at a time, but the
+# benchmark's tracer still wraps these names on this module
+from .encoding import encode  # noqa: F401
+from .graphs import edge_neighborhood_graph  # noqa: F401
 from .tensor import ACTIVATIONS, Tensor, constant
 
 
@@ -379,10 +386,17 @@ class EdgeBatch:
         return _neighbor_indices(self)
 
 
+def edge_batch_units(graphs):
+    """One `EdgeBatch` per graph: its radius-1 encoding and the edges of
+    its edge neighborhood graph, both built over the whole list."""
+    graphs = list(graphs)
+    return [EdgeBatch(enc, *_directed_pairs(pairs)) for enc, pairs in
+            zip(encode_all(graphs, 1), edge_neighborhood_pairs(graphs))]
+
+
 def edge_batch_unit(g):
-    enc = encode(g, 1)
-    src, dst = _directed_pairs(edge_neighborhood_graph(g).edges)
-    return EdgeBatch(enc=enc, src=src, dst=dst)
+    """`edge_batch_units` on one graph."""
+    return edge_batch_units([g])[0]
 
 
 def combine_edge_batches(units):
@@ -443,7 +457,7 @@ class Family:
     """What model assembly, training and cross-validation need from one
     model family. A unit is one graph's cacheable input; the initial
     feature width of a unit is `features(unit).shape[1]`."""
-    prepare: Callable     # (spec, graph) -> unit
+    prepare: Callable     # (spec, graphs) -> one unit per graph, in order
     combine: Callable     # units -> batch
     features: Callable    # unit or batch -> initial feature rows
     init: Callable        # (spec, d_in, d_out, rng) -> one conv's parameters
@@ -455,16 +469,18 @@ class Family:
 
 # the vertex families read the graphs themselves; the baseline's convs are
 # single dense layers, so it never looks at the edges
-_VERTEX_INPUTS = dict(prepare=lambda spec, g: g, combine=vertex_batch,
+_VERTEX_INPUTS = dict(prepare=lambda spec, graphs: list(graphs),
+                      combine=vertex_batch,
                       features=lambda batch: batch.vertex_features,
                       segments=lambda batch: (batch.segment_index,
                                               batch.n_graphs),
                       gamma=lambda batch: 0, uses_radius=False)
 
-# the lambdas around encode, combine_encodings and wl2_conv look them up
-# at call time, so wrappers installed on this module see every call
+# the lambdas around encode_all, edge_batch_units, combine_encodings and
+# wl2_conv look them up at call time, so wrappers installed on this module
+# see every call; each prepare call covers a whole graph list
 FAMILIES = {
-    "wl2": Family(prepare=lambda spec, g: encode(g, spec.r),
+    "wl2": Family(prepare=lambda spec, graphs: encode_all(graphs, spec.r),
                   combine=lambda units: combine_encodings(units),
                   features=lambda enc: enc.z0,
                   init=lambda spec, d_in, d_out, rng: Wl2LayerParams(
@@ -476,7 +492,7 @@ FAMILIES = {
                       GIN_EPS, _make_mlp(rng, [d_in, spec.d, d_out], spec.act,
                                          final_act=spec.act)),
                   conv=gin_layer, **_VERTEX_INPUTS),
-    "gnn2": Family(prepare=lambda spec, g: edge_batch_unit(g),
+    "gnn2": Family(prepare=lambda spec, graphs: edge_batch_units(graphs),
                    combine=combine_edge_batches,
                    features=lambda batch: batch.enc.z0,
                    init=lambda spec, d_in, d_out, rng: Gnn2LayerParams(
@@ -493,9 +509,13 @@ FAMILIES = {
 
 
 def prepare_units(spec, graphs):
-    """Per-graph precomputation that can be cached across epochs."""
-    prepare = FAMILIES[spec.layer].prepare
-    return [prepare(spec, g) for g in graphs]
+    """Per-graph precomputation that can be cached across epochs, one
+    unit per graph. Raises a GraphError naming the first graph whose
+    feature widths differ from the first one's, or that the family
+    cannot encode."""
+    graphs = list(graphs)
+    check_feature_widths(graphs)
+    return FAMILIES[spec.layer].prepare(spec, graphs)
 
 
 def combine_units(spec, units):

@@ -15,6 +15,7 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES
 
 import wl2gnn.tensor as T
+from wl2gnn import bench
 from wl2gnn.bench import (TrainConfig, epoch_timing, loglog_slope, run_cv,
                           stratified_holdout, triangle_experiment,
                           _random_regular_circulant)
@@ -58,6 +59,19 @@ def criterion(k):
 
 def two_triangles():
     return disjoint_union([cycle_graph(3), cycle_graph(3)])
+
+
+def time_calls(monkeypatch, owner, name, totals, key):
+    """Adds the wall time of every call to `owner.name` to totals[key]."""
+    fn = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[key] += time.perf_counter() - start
+    monkeypatch.setattr(owner, name, timed)
 
 
 # -------------------------------------------------------------------------
@@ -297,9 +311,14 @@ def test_criterion_08_gradient_suite():
 # runs before the training benchmark on purpose: the slope measurement
 # is wall-clock sensitive and the training test churns the heap
 @criterion(10)
-def test_criterion_10_scaling_slopes():
+def test_criterion_10_scaling_slopes(monkeypatch):
     import gc
     gc.collect()
+    # set-up calls are timed from outside; the timed epochs are not wrapped
+    spent = {"generation": 0.0, "encoding": 0.0}
+    time_calls(monkeypatch, bench, "_random_regular_circulant", spent,
+               "generation")
+    time_calls(monkeypatch, bench, "prepare_units", spent, "encoding")
     start = time.perf_counter()
     spec = ModelSpec(layer="wl2", t=1, d=8, r=1, pool="mean", act="logistic",
                      lr=1e-3)
@@ -314,18 +333,25 @@ def test_criterion_10_scaling_slopes():
     assert not warn_d and len(rows_d) == 4
     slope_d = loglog_slope([r.d for r in rows_d], [r.gamma for r in rows_d])
     elapsed = time.perf_counter() - start
+    training = (100 * sum(r.epoch_seconds for r in rows_n)
+                + 3 * sum(r.epoch_seconds for r in rows_d))
     assert 0.75 <= slope_n <= 1.25, f"epoch-time slope in n: {slope_n:.3f}"
     assert slope_d <= 2 * 1 + 0.5, f"gamma slope in d: {slope_d:.3f}"
     assert elapsed <= 600, f"took {elapsed:.0f}s"
     return (f"epoch time ~ n^{slope_n:.2f}, gamma ~ d^{slope_d:.2f} "
-            f"(bound 2.5) ({elapsed:.0f} s)")
+            f"(bound 2.5) ({elapsed:.0f} s: generation "
+            f"{spent['generation']:.2f} s, encoding {spent['encoding']:.2f} s, "
+            f"timed epochs {training:.1f} s)")
 
 
 @criterion(9)
-def test_criterion_09_triangle_learning():
+def test_criterion_09_triangle_learning(monkeypatch):
     start = time.perf_counter()
     cfg = TriangleConfig(vertex_counts=(8, 10, 12, 14), samples_per_cell=6)
     graphs, labels, _ = generate_triangle_dataset(7, cfg)
+    generation = time.perf_counter() - start
+    spent = {"encoding": 0.0}
+    time_calls(monkeypatch, bench, "prepare_units", spent, "encoding")
     # deliberately small training split: the claim under test is the
     # architectural separation, and the large held-out side gives a
     # low-variance test estimate while keeping training cheap
@@ -334,6 +360,8 @@ def test_criterion_09_triangle_learning():
     means = {layer: float(np.mean([test for _, test, _ in family]))
              for layer, family in runs.items()}
     wl2_trains = [train for train, _, _ in runs["wl2"]]
+    training = sum(trained.seconds for family in runs.values()
+                   for _, _, trained in family)
     elapsed = time.perf_counter() - start
     assert min(wl2_trains) >= 0.95, f"wl2 train accs {wl2_trains}"
     margin = means["wl2"] - means["gin"]
@@ -342,7 +370,9 @@ def test_criterion_09_triangle_learning():
     assert elapsed <= 900, f"took {elapsed:.0f}s"
     return (f"{len(graphs)} graphs: wl2 test {means['wl2']:.3f} vs gin "
             f"{means['gin']:.3f} vs baseline {means['baseline']:.3f}, "
-            f"wl2 train >= {min(wl2_trains):.3f} ({elapsed:.0f} s)")
+            f"wl2 train >= {min(wl2_trains):.3f} ({elapsed:.0f} s: "
+            f"generation {generation:.1f} s, encoding "
+            f"{spent['encoding']:.2f} s, training {training:.1f} s)")
 
 
 def _synthetic_tu_corpus(path, count=240):

@@ -27,7 +27,7 @@ from wl2gnn.bench import (
     _select,
 )
 from wl2gnn.cli import DEFAULT_GRID, main
-from wl2gnn.graphs import Graph, save_tu_dataset
+from wl2gnn.graphs import Graph, GraphError, save_tu_dataset
 from wl2gnn.layers import ModelSpec, init_model_params, input_width, prepare_units
 
 
@@ -418,6 +418,41 @@ def test_cli_cv_rejects_classes_the_holdout_empties(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "class 0 has only 2 graphs" in err[0]
     assert not (tmp_path / "results.csv").exists()
+
+
+def with_vertex_width(g, width):
+    return Graph(g.n, g.edges, vertex_features=np.ones((g.n, width)))
+
+
+@pytest.mark.parametrize("layer", ["wl2", "gin", "gnn2", "baseline"])
+def test_run_cv_rejects_mixed_feature_widths_before_the_folds(layer,
+                                                               monkeypatch):
+    graphs, labels = separable_dataset(12)
+    graphs[5] = with_vertex_width(graphs[5], 2)
+    # the error must come from preparing the units, before any fold runs
+    monkeypatch.setattr(bench, "_run_fold", None)
+    with pytest.raises(GraphError, match=r"graph 5 has vertex and edge "
+                       r"feature widths \(2, 0\), graph 0 has \(1, 0\)"):
+        run_cv(graphs, labels, [replace(BASELINE, layer=layer)],
+               quick_config(folds=2))
+
+
+def test_cli_cv_names_the_graph_whose_feature_width_differs(tmp_path, capsys):
+    graphs, labels = separable_dataset(12)
+    save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
+    # node attributes one wide, except two wide on graph 3's vertices
+    rows = [("1.0, 2.0" if k == 3 else "1.0")
+            for k, g in enumerate(graphs) for _ in range(g.n)]
+    (tmp_path / "TOY" / "TOY_node_attributes.txt").write_text(
+        "\n".join(rows) + "\n")
+    out = tmp_path / "out.csv"
+    code = main(["cv", "--dataset", str(tmp_path / "TOY"), *CLI_BASE["cv"],
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: graph 3 ")
+    assert "(2, 0), graph 0 has (1, 0)" in err[0]
+    assert not out.exists()
 
 
 def test_read_results_csv_rejects_wrong_header(tmp_path):

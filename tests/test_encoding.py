@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,11 @@ from wl2gnn.encoding import (
     Wl2Encoding,
     combine_encodings,
     encode,
+    encode_all,
 )
-from wl2gnn.graphs import Graph, GraphError, complete_graph, cycle_graph, graph_power
+from wl2gnn.graphs import (Graph, GraphError, complete_graph, cycle_graph,
+                           edge_neighborhood_graph, graph_power)
+from wl2gnn.layers import ModelSpec, prepare_units
 
 
 # ---------------------------------------------------------------- oracles
@@ -23,12 +28,13 @@ def neighborhood_intersections(g, r):
 
 
 @st.composite
-def featured_graphs(draw, max_n=8, with_edge_features=False):
+def featured_graphs(draw, max_n=8, with_edge_features=False, dv=None):
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = tuple(p for p, keep in zip(pairs, mask) if keep)
-    dv = draw(st.integers(min_value=1, max_value=3))
+    if dv is None:
+        dv = draw(st.integers(min_value=1, max_value=3))
     vf = np.arange(n * dv, dtype=np.float64).reshape(n, dv) + 1.0
     ef = None
     if with_edge_features:
@@ -311,9 +317,12 @@ ENCODING_FIELDS = ("z0", "ref_l", "ref_g1", "ref_g2", "rows", "graph_offsets")
 
 
 @st.composite
-def looped_graphs(draw):
-    """Featured graphs, some with edge features, some with self-loops."""
-    g = draw(featured_graphs(with_edge_features=draw(st.booleans())))
+def looped_graphs(draw, graphs=None):
+    """Featured graphs (by default some with edge features), some with
+    self-loops."""
+    if graphs is None:
+        graphs = featured_graphs(with_edge_features=draw(st.booleans()))
+    g = draw(graphs)
     loops = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=2))
     if not loops:
         return g
@@ -328,7 +337,36 @@ def looped_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(looped_graphs(), st.integers(min_value=1, max_value=3))
 def test_encode_matches_loop_form_bytewise(g, r):
-    fast, slow = encode(g, r), encode_loop_form(g, r)
+    assert_same_encoding(encode(g, r), encode_loop_form(g, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(looped_graphs(), st.integers(min_value=1, max_value=3))
+def test_rows_follow_graph_power_order(g, r):
+    # the order that wl2_conv_naive and the benchmark's oracle check
+    # rebuild from graph_power: its loops in vertex order, then its
+    # proper edges, which it keeps sorted
+    power = graph_power(g, r)
+    want = [(v, v) for v in range(g.n)]
+    want += [e for e in power.edges if e[0] != e[1]]
+    assert want[g.n:] == sorted(want[g.n:])
+    (enc,) = prepare_units(ModelSpec(layer="wl2", r=r), [g])
+    assert [tuple(row) for row in enc.rows.tolist()] == want
+
+
+@st.composite
+def graph_lists(draw, loops=True):
+    """1-6 featured graphs sharing their feature widths, with or without
+    edge features and, with `loops`, some with base self-loops."""
+    dv = draw(st.integers(min_value=1, max_value=3))
+    with_ef = draw(st.booleans())
+    strategy = featured_graphs(dv=dv, with_edge_features=with_ef)
+    if loops:
+        strategy = looped_graphs(strategy)
+    return draw(st.lists(strategy, min_size=1, max_size=6))
+
+
+def assert_same_encoding(fast, slow):
     for field in ENCODING_FIELDS:
         a, b = getattr(fast, field), getattr(slow, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
@@ -336,10 +374,29 @@ def test_encode_matches_loop_form_bytewise(g, r):
     assert fast.radius == slow.radius
 
 
-def test_encode_rejects_power_graph_without_self_loop(monkeypatch):
-    def loopless(g, r):
-        return Graph(g.n, tuple(e for e in graph_power(g, r).edges
-                                if e != (1, 1)))
-    monkeypatch.setattr(encoding, "graph_power", loopless)
-    with pytest.raises(GraphError, match=r"\(1, 1\)"):
-        encode(cycle_graph(4), 1)
+@settings(max_examples=60, deadline=None)
+@given(graph_lists(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=2000))
+def test_prepared_wl2_units_match_loop_form_bytewise(gs, r, budget):
+    units = prepare_units(ModelSpec(layer="wl2", r=r), gs)
+    assert len(units) == len(gs)
+    for g, unit in zip(gs, units):
+        assert_same_encoding(unit, encode_loop_form(g, r))
+    # a run budget below the list's summed n^3 splits it into several runs
+    with mock.patch.object(encoding, "_RUN_CUBES", budget):
+        for unit, again in zip(units, encode_all(gs, r)):
+            assert_same_encoding(again, unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_lists(loops=False))
+def test_prepared_gnn2_units_match_edge_neighborhood_graph(gs):
+    units = prepare_units(ModelSpec(layer="gnn2"), gs)
+    assert len(units) == len(gs)
+    for g, unit in zip(gs, units):
+        assert_same_encoding(unit.enc, encode_loop_form(g, 1))
+        pairs = np.asarray(edge_neighborhood_graph(g).edges,
+                           dtype=np.int64).reshape(-1, 2)
+        for got, want in ((unit.src, pairs.ravel()),
+                          (unit.dst, pairs[:, ::-1].ravel())):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

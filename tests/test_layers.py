@@ -465,6 +465,19 @@ def test_forward_model_batch_matches_single(spec):
         assert abs(batched[k, 0] - logit) <= 1e-10
 
 
+@pytest.mark.parametrize("layer,n,edges,message", [
+    ("wl2", 0, (), "graph 2 is empty"),
+    ("gnn2", 0, (), "graph 2 is empty"),
+    ("gnn2", 3, ((0, 1), (2, 2)), "graph 2 has a self-loop at vertex 2"),
+], ids=["wl2-empty", "gnn2-empty", "gnn2-self-loop"])
+def test_prepare_units_names_the_graph_it_cannot_encode(layer, n, edges,
+                                                        message):
+    gs = [featured(4, ((0, 1), (1, 2)), seed=s) for s in range(4)]
+    gs[2] = Graph(n, edges, vertex_features=np.ones((n, 2)))
+    with pytest.raises(GraphError, match=message):
+        prepare_units(ModelSpec(layer=layer, r=2), gs)
+
+
 @pytest.mark.parametrize("layer", ["wl2", "gin", "gnn2"])
 def test_batch_builds_each_scatter_plan_once(layer, monkeypatch):
     built, original = [], T._rank_slots
