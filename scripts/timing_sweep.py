@@ -16,8 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from wl2gnn.bench import epoch_timing, loglog_slope, write_timing_csv
-from wl2gnn.layers import ModelSpec
+from wl2gnn.bench import scaling_study, write_timing_csv
 
 
 def main():
@@ -33,35 +32,24 @@ def main():
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args()
 
-    spec = ModelSpec(layer="wl2", t=1, d=8, r=args.radius, pool="mean",
-                     act="logistic", lr=1e-3)
-    n_list = [int(x) for x in args.n_values.split(",")]
-    d_list = [int(x) for x in args.d_values.split(",")]
-
-    rows_n, warnings = epoch_timing(n_list, [2], [args.radius], spec,
-                                    n_graphs=args.graphs, epochs=args.epochs,
-                                    seed=args.seed)
+    try:
+        rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
+            [int(x) for x in args.n_values.split(",")],
+            [int(x) for x in args.d_values.split(",")], r=args.radius,
+            fixed_n=args.fixed_n, n_graphs=args.graphs, epochs=args.epochs,
+            seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print("size sweep (d=2):")
     for r in rows_n:
         print(f"  n={r.n:5d}  gamma={r.gamma:8d}  epoch={r.epoch_seconds:.4f}s")
-    top = [(r.n, r.epoch_seconds) for r in rows_n
-           if r.n >= max(x.n for x in rows_n) / 10]
-    print(f"epoch-time slope over the top decade: "
-          f"{loglog_slope([n for n, _ in top], [t for _, t in top]):.3f}")
-
-    # the degree sweep only needs gamma, so a couple of epochs suffice
-    rows_d, warnings = epoch_timing([args.fixed_n], d_list, [args.radius],
-                                    spec, n_graphs=max(10, args.graphs // 2),
-                                    epochs=3, seed=args.seed)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    print(f"epoch-time slope over the top decade: {slope_n:.3f}")
     print(f"degree sweep (n={args.fixed_n}):")
     for r in rows_d:
         print(f"  d={r.d:3d}  gamma={r.gamma:8d}  epoch={r.epoch_seconds:.4f}s")
-    slope = loglog_slope([r.d for r in rows_d], [r.gamma for r in rows_d])
-    print(f"gamma slope in d: {slope:.3f} (worst-case bound "
+    print(f"gamma slope in d: {slope_d:.3f} (worst-case bound "
           f"{2 * args.radius + 0.5})")
 
     if args.out:

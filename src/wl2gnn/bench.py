@@ -525,6 +525,32 @@ def write_timing_csv(rows, path):
 
 
 def loglog_slope(x, y):
-    """Least-squares slope of log(y) against log(x)."""
-    lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    """Least-squares slope of log(y) against log(x); needs two distinct
+    x and positive x and y."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if len(np.unique(x)) < 2 or np.any(x <= 0) or np.any(y <= 0):
+        raise ValueError(f"cannot fit a log-log slope to x={x.tolist()}, "
+                         f"y={y.tolist()}: it needs two distinct x and "
+                         "positive x and y")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
+                  seed=0):
+    """The scaling study of a one-layer wl2 model at radius r: epoch time
+    against n over `n_list` at degree 2, fitted over the top decade of n
+    (about linear), and gamma against d over `d_list` at `fixed_n`
+    (bounded by d^{2r}); that sweep needs only gamma, so it runs half the
+    graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
+    slope in n, slope in d, warnings)."""
+    spec = ModelSpec(layer="wl2", t=1, d=8, r=r, pool="mean", act="logistic",
+                     lr=1e-3)
+    rows_n, warnings = epoch_timing(n_list, [2], [r], spec, n_graphs=n_graphs,
+                                    epochs=epochs, seed=seed)
+    top = [row for row in rows_n if row.n >= max(x.n for x in rows_n) / 10]
+    slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
+    rows_d, warn_d = epoch_timing([fixed_n], d_list, [r], spec,
+                                  n_graphs=max(10, n_graphs // 2), epochs=3,
+                                  seed=seed)
+    slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])
+    return rows_n, rows_d, slope_n, slope_d, warnings + warn_d

@@ -38,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .encoding import (Wl2Encoding, combine_encodings, edge_neighborhood_pairs,
-                       encode_all)
+from .encoding import (Wl2Encoding, _offsets, _union_edges, combine_encodings,
+                       edge_neighborhood_pairs, encode_all)
 from .graphs import GraphError, check_feature_widths
 
 # not called here since units are prepared a list at a time, but the
@@ -364,10 +364,7 @@ def vertex_batch(graphs):
     graphs = list(graphs)
     x = np.vstack([g.vertex_features for g in graphs])
     sizes = [g.n for g in graphs]
-    starts = np.cumsum([0] + sizes[:-1])
-    src, dst = _directed_pairs(np.concatenate(
-        [np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) + start
-         for g, start in zip(graphs, starts)]))
+    src, dst = _directed_pairs(_union_edges(graphs, _offsets(sizes))[0])
     return VertexBatch(vertex_features=x, src=src, dst=dst,
                        seg=np.repeat(np.arange(len(graphs)), sizes),
                        n_graphs=len(graphs))
@@ -394,17 +391,15 @@ def edge_batch_units(graphs):
             zip(encode_all(graphs, 1), edge_neighborhood_pairs(graphs))]
 
 
-def edge_batch_unit(g):
-    """`edge_batch_units` on one graph."""
-    return edge_batch_units([g])[0]
-
-
 def combine_edge_batches(units):
     units = list(units)
     enc = combine_encodings(u.enc for u in units)
-    starts = enc.graph_offsets[:, 0]
-    src = np.concatenate([u.src + s for u, s in zip(units, starts)])
-    dst = np.concatenate([u.dst + s for u, s in zip(units, starts)])
+    src = np.concatenate([u.src for u in units])
+    dst = np.concatenate([u.dst for u in units])
+    # shifted in place after both exist, as in `combine_encodings`
+    shift = np.repeat(enc.graph_offsets[:, 0], [len(u.src) for u in units])
+    src += shift
+    dst += shift
     return EdgeBatch(enc=enc, src=src, dst=dst)
 
 

@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_LINES
 
 import wl2gnn.tensor as T
 from wl2gnn import bench
-from wl2gnn.bench import (TrainConfig, epoch_timing, loglog_slope, run_cv,
+from wl2gnn.bench import (TrainConfig, run_cv, scaling_study,
                           stratified_holdout, triangle_experiment,
                           _random_regular_circulant)
 from wl2gnn.encoding import combine_encodings, encode
@@ -320,19 +320,11 @@ def test_criterion_10_scaling_slopes(monkeypatch):
                "generation")
     time_calls(monkeypatch, bench, "prepare_units", spent, "encoding")
     start = time.perf_counter()
-    spec = ModelSpec(layer="wl2", t=1, d=8, r=1, pool="mean", act="logistic",
-                     lr=1e-3)
-    rows_n, warn_n = epoch_timing([32, 64, 128, 256, 512], [2], [1], spec,
-                                  n_graphs=100, epochs=100, seed=0)
-    assert not warn_n and len(rows_n) == 5
-    top = [(r.n, r.epoch_seconds) for r in rows_n
-           if r.n >= max(r.n for r in rows_n) / 10]
-    slope_n = loglog_slope([n for n, _ in top], [t for _, t in top])
-    rows_d, warn_d = epoch_timing([64], [2, 4, 8, 16], [1], spec,
-                                  n_graphs=50, epochs=3, seed=0)
-    assert not warn_d and len(rows_d) == 4
-    slope_d = loglog_slope([r.d for r in rows_d], [r.gamma for r in rows_d])
+    rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
+        [32, 64, 128, 256, 512], [2, 4, 8, 16], r=1, fixed_n=64, n_graphs=100,
+        epochs=100, seed=0)
     elapsed = time.perf_counter() - start
+    assert not warnings and len(rows_n) == 5 and len(rows_d) == 4
     training = (100 * sum(r.epoch_seconds for r in rows_n)
                 + 3 * sum(r.epoch_seconds for r in rows_d))
     assert 0.75 <= slope_n <= 1.25, f"epoch-time slope in n: {slope_n:.3f}"

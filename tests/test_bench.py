@@ -18,6 +18,7 @@ from wl2gnn.bench import (
     loglog_slope,
     read_results_csv,
     run_cv,
+    scaling_study,
     stratified_folds,
     stratified_holdout,
     train_model,
@@ -522,6 +523,42 @@ def test_loglog_slope_recovers_exponent():
     x = np.array([4.0, 8.0, 16.0, 32.0])
     assert loglog_slope(x, 3.7 * x ** 2.5) == pytest.approx(2.5, abs=1e-12)
     assert loglog_slope(x, np.full(4, 9.0)) == pytest.approx(0.0, abs=1e-12)
+    # one point, no points, one distinct x, and non-positive x or y
+    for xs, ys in (([16.0], [0.5]), ([], []), ([2.0, 2.0], [1.0, 3.0]),
+                   ([0.0, 2.0], [1.0, 3.0]), ([1.0, 2.0], [1.0, -3.0])):
+        with pytest.raises(ValueError, match="log-log slope") as err:
+            loglog_slope(xs, ys)
+        assert f"x={xs}, y={ys}" in str(err.value)
+
+
+def test_scaling_study_is_its_two_sweeps():
+    rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
+        [8, 16, 32], [2, 4], fixed_n=16, n_graphs=3, epochs=2)
+    spec = ModelSpec(layer="wl2", t=1, d=8, r=1, pool="mean",
+                     act="logistic", lr=1e-3)
+    want_n, _ = epoch_timing([8, 16, 32], [2], [1], spec, n_graphs=3,
+                             epochs=2)
+    want_d, _ = epoch_timing([16], [2, 4], [1], spec, n_graphs=10, epochs=3)
+
+    def cells(rows):
+        return [(r.n, r.d, r.r, r.gamma) for r in rows]
+
+    assert cells(rows_n) == cells(want_n) and cells(rows_d) == cells(want_d)
+    assert not warnings
+    # 32 / 10 keeps every n in the top decade
+    assert slope_n == loglog_slope([r.n for r in rows_n],
+                                   [r.epoch_seconds for r in rows_n])
+    assert slope_d == loglog_slope([r.d for r in rows_d],
+                                   [r.gamma for r in rows_d])
+
+
+@pytest.mark.parametrize("n_list,d_list,fixed_n", [
+    ([1, 2], [2], 8),      # no cell of the size sweep is feasible
+    ([8, 16], [8, 9], 8),  # no cell of the degree sweep is feasible
+])
+def test_scaling_study_rejects_infeasible_sweeps(n_list, d_list, fixed_n):
+    with pytest.raises(ValueError, match="cannot fit a log-log slope"):
+        scaling_study(n_list, d_list, fixed_n=fixed_n, n_graphs=3, epochs=1)
 
 
 def test_default_radii_cover_corpora():
@@ -658,3 +695,21 @@ def test_script_help_exits_zero(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ")
+
+
+def test_timing_sweep_runs_end_to_end():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "timing_sweep.py"),
+                           "--n-values", "8,16", "--d-values", "2,4",
+                           "--fixed-n", "8", "--graphs", "3", "--epochs", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "\nepoch-time slope over the top decade: " in proc.stdout
+    assert "\ngamma slope in d: " in proc.stdout
+
+
+def test_timing_sweep_rejects_a_one_point_fit():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "timing_sweep.py"),
+                           "--n-values", "16", "--graphs", "3", "--epochs",
+                           "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "cannot fit a log-log slope to x=[16.0]" in proc.stderr

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wl2gnn.tensor as T
+from wl2gnn.bench import _random_regular_circulant
 from wl2gnn.encoding import encode
 from wl2gnn.graphs import (
     Graph,
@@ -22,7 +23,7 @@ from wl2gnn.layers import (
     Wl2LayerParams,
     build_simulation_stack,
     combine_units,
-    edge_batch_unit,
+    edge_batch_units,
     forward_model,
     format_model_spec,
     gin_layer,
@@ -220,7 +221,7 @@ def test_gnn2_single_edge_hand_computation():
     z0 = encode(g, 1).z0
     params = Gnn2LayerParams(w=constant(np.eye(2)),
                              w_g=constant(np.eye(2)), act="identity")
-    out = gnn2_layer(edge_batch_unit(g), constant(z0), params).data
+    out = gnn2_layer(edge_batch_units([g])[0], constant(z0), params).data
     assert out.tolist() == [[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
 
 
@@ -254,7 +255,7 @@ def test_gnn2_sum_aggregation_conflates_swapped_colorings():
     rng = np.random.default_rng(4)
     params = Gnn2LayerParams(w=T.glorot_uniform(rng, 4, 5),
                              w_g=T.glorot_uniform(rng, 4, 5), act="logistic")
-    batch = edge_batch_unit(g)
+    batch = edge_batch_units([g])[0]
     out_a = gnn2_layer(batch, constant(a), params).data
     out_b = gnn2_layer(batch, constant(b), params).data
     assert np.allclose(out_a[5], out_b[5], atol=1e-12)
@@ -447,6 +448,47 @@ def test_wl2_outputs_are_bounded_by_2wl(pair, seed, act):
             a, b = forward_model(spec, params,
                                  combine_units(spec, units)).data[:, 0]
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (r, pool_mode)
+
+
+@st.composite
+def wl1_equivalent_pairs(draw):
+    """A random graph and a relabelled copy, or two random regular
+    circulants of the same size and degree; either kind may get the same
+    random graph joined to each side. Every feature is one, as 1-WL's
+    initial colours are uniform."""
+    if draw(st.booleans()):
+        g, _ = draw(random_graph_and_radius(max_n=8))
+        perm = draw(st.permutations(range(g.n)))
+        h = ones_graph(g.n, tuple((perm[i], perm[j]) for i, j in g.edges))
+    else:
+        n = draw(st.integers(4, 12))
+        d = draw(st.integers(2, n - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+        g = _random_regular_circulant(rng, n, d)
+        assume(g is not None)
+        h = _random_regular_circulant(rng, n, d)
+    if draw(st.booleans()):
+        shared, _ = draw(random_graph_and_radius(max_n=6))
+        g, h = disjoint_union([g, shared]), disjoint_union([h, shared])
+    return g, h
+
+
+@settings(max_examples=50, deadline=None)
+@given(wl1_equivalent_pairs(), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from(["relu", "logistic"]))
+def test_gin_outputs_are_bounded_by_1wl(pair, seed, act):
+    """Graphs that 1-WL refinement cannot separate get the same logits
+    from any seeded gin model under every trainable pooling, up to
+    summation order."""
+    g, h = pair
+    assert distinguishable(g, h, 1) is False
+    for pool_mode in ("mean", "sum", "weighted_mean"):
+        spec = ModelSpec(layer="gin", t=2, d=6, r=1, pool=pool_mode, act=act)
+        units = prepare_units(spec, [g, h])
+        params = init_model_params(spec, input_width(spec, units), seed)
+        a, b = forward_model(spec, params,
+                             combine_units(spec, units)).data[:, 0]
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), pool_mode
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.layer)
