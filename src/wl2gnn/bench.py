@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -459,60 +459,57 @@ def _random_regular_circulant(rng, n, d):
     return circulant_graph(n, offsets)
 
 
-def epoch_timing(n_list, d_list, r_list, spec, n_graphs=100, epochs=100,
-                 seed=0):
-    """Wall-clock scaling sweep over (n, d, r) combinations.
+def _require_nonempty(**sweeps):
+    """Raises `ValueError` naming the first empty sweep list."""
+    for name, values in sweeps.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
+
+
+def epoch_timing(n_list, d_list, spec, n_graphs=100, epochs=100, seed=0):
+    """Wall-clock scaling sweep over (n, d) combinations at radius `spec.r`.
 
     For each combination: a dataset of `n_graphs` random d-regular
-    circulant graphs of size n is encoded at radius r, then full-batch
-    training epochs are timed (forward, loss, backward, update) and the
-    mean epoch duration recorded together with the batch gamma.
-    Infeasible (n, d) pairs are skipped with a warning; empty lists, or
-    radii for a family that ignores them, raise `ValueError`. Strictly
-    serial. Returns (rows, warnings).
+    circulant graphs of size n is encoded, then full-batch training
+    epochs are timed (forward, loss, backward, update) and the mean
+    epoch duration recorded together with the batch gamma. Infeasible
+    (n, d) pairs are skipped with a warning; empty lists raise
+    `ValueError`. Strictly serial. Returns (rows, warnings).
     """
     validate_model_spec(spec)
     _require_positive(n_graphs=n_graphs, epochs=epochs)
-    for name, values in (("n_list", n_list), ("d_list", d_list),
-                         ("r_list", r_list)):
-        if len(values) == 0:
-            raise ValueError(f"{name} is empty")
-    if not FAMILIES[spec.layer].uses_radius and len(set(r_list)) > 1:
-        raise ValueError(f"family {spec.layer} ignores the radius: sweep one "
-                         f"r value, not {sorted(set(r_list))}")
+    _require_nonempty(n_list=n_list, d_list=d_list)
+    r = spec.r
     rows, warnings = [], []
     for n in n_list:
         for d in d_list:
-            for r in r_list:
-                rng = np.random.default_rng([seed, n, d, r])
-                graphs = []
-                for _ in range(n_graphs):
-                    g = _random_regular_circulant(rng, n, d)
-                    if g is None:
-                        break
-                    graphs.append(g)
-                if len(graphs) < n_graphs:
-                    warnings.append(f"skipped n={n} d={d} r={r}: no d-regular "
-                                    "circulant exists")
-                    continue
-                run_spec = replace(spec, r=r)
-                labels = rng.integers(0, 2, size=n_graphs).astype(np.float64)
-                units = prepare_units(run_spec, graphs)
-                batch = combine_units(run_spec, units)
-                gamma = int(FAMILIES[run_spec.layer].gamma(batch))
-                params = init_model_params(run_spec,
-                                           input_width(run_spec, units), seed)
-                tensors = params.tensors()
-                state = T.AdamState.for_params(tensors, run_spec.lr)
-                y = labels.reshape(-1, 1)
-                # the first step warms up, untimed
-                _train_step(run_spec, params, tensors, state, batch, y)
-                start = time.perf_counter()
-                for _ in range(epochs):
-                    _train_step(run_spec, params, tensors, state, batch, y)
-                mean_seconds = (time.perf_counter() - start) / epochs
-                rows.append(TimingRow(n=n, d=d, r=r, gamma=gamma,
-                                      epoch_seconds=mean_seconds))
+            rng = np.random.default_rng([seed, n, d, r])
+            graphs = []
+            for _ in range(n_graphs):
+                g = _random_regular_circulant(rng, n, d)
+                if g is None:
+                    break
+                graphs.append(g)
+            if len(graphs) < n_graphs:
+                warnings.append(f"skipped n={n} d={d} r={r}: no d-regular "
+                                "circulant exists")
+                continue
+            labels = rng.integers(0, 2, size=n_graphs).astype(np.float64)
+            units = prepare_units(spec, graphs)
+            batch = combine_units(spec, units)
+            gamma = int(FAMILIES[spec.layer].gamma(batch))
+            params = init_model_params(spec, input_width(spec, units), seed)
+            tensors = params.tensors()
+            state = T.AdamState.for_params(tensors, spec.lr)
+            y = labels.reshape(-1, 1)
+            # the first step warms up, untimed
+            _train_step(spec, params, tensors, state, batch, y)
+            start = time.perf_counter()
+            for _ in range(epochs):
+                _train_step(spec, params, tensors, state, batch, y)
+            mean_seconds = (time.perf_counter() - start) / epochs
+            rows.append(TimingRow(n=n, d=d, r=r, gamma=gamma,
+                                  epoch_seconds=mean_seconds))
     return rows, warnings
 
 
@@ -542,14 +539,16 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     (about linear), and gamma against d over `d_list` at `fixed_n`
     (bounded by d^{2r}); that sweep needs only gamma, so it runs half the
     graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
-    slope in n, slope in d, warnings)."""
+    slope in n, slope in d, warnings). Empty lists raise `ValueError`
+    before either sweep runs."""
+    _require_nonempty(n_list=n_list, d_list=d_list)
     spec = ModelSpec(layer="wl2", t=1, d=8, r=r, pool="mean", act="logistic",
                      lr=1e-3)
-    rows_n, warnings = epoch_timing(n_list, [2], [r], spec, n_graphs=n_graphs,
+    rows_n, warnings = epoch_timing(n_list, [2], spec, n_graphs=n_graphs,
                                     epochs=epochs, seed=seed)
     top = [row for row in rows_n if row.n >= max(x.n for x in rows_n) / 10]
     slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
-    rows_d, warn_d = epoch_timing([fixed_n], d_list, [r], spec,
+    rows_d, warn_d = epoch_timing([fixed_n], d_list, spec,
                                   n_graphs=max(10, n_graphs // 2), epochs=3,
                                   seed=seed)
     slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])

@@ -1,8 +1,15 @@
-"""Command line entry point.
+"""Command line entry point, the one front end of the paper's experiments.
 
-Subcommands: cv (run the cross-validation benchmark), timing (scaling
-sweep), deltas (compare two result files), gen-triangle (write the
-synthetic triangle dataset in TU text format).
+Subcommands:
+  cv            cross-validated benchmark on a TU dataset or the
+                triangle dataset
+  triangle      triangle detection: pair convolutions against GIN and a
+                structure-blind baseline
+  timing        scaling study: epoch time against n, gamma against d
+  deltas        paired fold-wise comparison of two result files
+  gen-triangle  write the synthetic triangle dataset in TU text format
+
+Bad input exits 2 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -10,22 +17,30 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 
-from .bench import (DEFAULT_RADII, TrainConfig, epoch_timing, foldwise_deltas,
-                    read_results_csv, run_cv, write_timing_csv)
-from .graphs import GraphError, generate_triangle_dataset, load_tu_dataset, \
-    save_tu_dataset
-from .layers import FAMILIES, ModelSpec, parse_model_spec
+import numpy as np
+
+from .bench import (DEFAULT_RADII, TrainConfig, foldwise_deltas,
+                    read_results_csv, run_cv, scaling_study,
+                    triangle_experiment, write_timing_csv)
+from .graphs import GraphError, TriangleConfig, generate_triangle_dataset, \
+    load_tu_dataset, save_tu_dataset
+from .layers import FAMILIES, parse_model_spec
 
 DEFAULT_GRID = ("layer=wl2,T=3,d=32,r=1,pool=mean,act=logistic,lr=0.001",)
+
+
+def _print_warnings(warnings):
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
 
 def _load_dataset(args):
     if args.triangle_seed is not None:
         graphs, labels, warnings = generate_triangle_dataset(args.triangle_seed)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        _print_warnings(warnings)
         return graphs, labels, "TRIANGLE"
     if args.dataset is None:
         raise GraphError("need --dataset DIR or --triangle-seed N")
@@ -70,20 +85,50 @@ def _parse_int_list(text):
     return [int(x) for x in text.split(",") if x]
 
 
+def _cmd_triangle(args):
+    # below n = 8 the planted triangle shifts degree statistics enough
+    # for vertex models to pick the class up, so stay above that
+    if args.quick:
+        cfg = TriangleConfig(vertex_counts=(8, 10, 12), samples_per_cell=5)
+    else:
+        cfg = TriangleConfig(vertex_counts=(8, 10, 12, 14), samples_per_cell=6)
+    t0 = time.time()
+    graphs, labels, warnings = generate_triangle_dataset(args.seed, cfg)
+    _print_warnings(warnings)
+    sizes = [g.n for g in graphs]
+    print(f"{len(graphs)} graphs (n {min(sizes)}..{max(sizes)}, "
+          f"mean {np.mean(sizes):.1f}), generated in {time.time() - t0:.0f}s")
+    # criterion 9's split and training seeds
+    seeds = (0, 1, 2)
+    runs = triangle_experiment(graphs, labels, seeds=seeds, split_seed=123,
+                               train_fraction=0.2)
+    for layer, family in runs.items():
+        for seed, (train, test, trained) in zip(seeds, family):
+            print(f"  {layer} seed {seed}: train {train:.3f} test {test:.3f} "
+                  f"({trained.epochs} epochs, {trained.seconds:.0f}s)")
+        print(f"{layer}: mean test "
+              f"{np.mean([test for _, test, _ in family]):.3f}")
+    return 0
+
+
 def _cmd_timing(args):
-    spec = parse_model_spec(args.spec) if args.spec else ModelSpec()
-    rows, warnings = epoch_timing(_parse_int_list(args.n_values),
-                                  _parse_int_list(args.d_values),
-                                  _parse_int_list(args.r_values),
-                                  spec, n_graphs=args.graphs,
-                                  epochs=args.epochs, seed=args.seed)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    write_timing_csv(rows, args.out)
-    for r in rows:
-        print(f"n={r.n} d={r.d} r={r.r} gamma={r.gamma} "
-              f"epoch={r.epoch_seconds:.6f}s")
-    print(f"{len(rows)} rows -> {args.out}")
+    rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
+        _parse_int_list(args.n_values), _parse_int_list(args.d_values),
+        r=args.radius, fixed_n=args.fixed_n, n_graphs=args.graphs,
+        epochs=args.epochs, seed=args.seed)
+    _print_warnings(warnings)
+    print("size sweep (d=2):")
+    for r in rows_n:
+        print(f"  n={r.n:5d}  gamma={r.gamma:8d}  epoch={r.epoch_seconds:.4f}s")
+    print(f"epoch-time slope over the top decade: {slope_n:.3f}")
+    print(f"degree sweep (n={args.fixed_n}):")
+    for r in rows_d:
+        print(f"  d={r.d:3d}  gamma={r.gamma:8d}  epoch={r.epoch_seconds:.4f}s")
+    print(f"gamma slope in d: {slope_d:.3f} (worst-case bound "
+          f"{2 * args.radius + 0.5})")
+    if args.out:
+        write_timing_csv(rows_n + rows_d, args.out)
+        print(f"{len(rows_n) + len(rows_d)} rows -> {args.out}")
     return 0
 
 
@@ -97,8 +142,7 @@ def _cmd_deltas(args):
 
 def _cmd_gen_triangle(args):
     graphs, labels, warnings = generate_triangle_dataset(args.seed)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(warnings)
     out_dir = os.path.join(args.out_dir, args.name)
     save_tu_dataset(graphs, labels, out_dir, args.name)
     n_mean = sum(g.n for g in graphs) / len(graphs)
@@ -125,15 +169,28 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_cv)
 
-    p = sub.add_parser("timing", help="epoch wall-time scaling sweep")
-    p.add_argument("--n-values", required=True, help="comma separated")
-    p.add_argument("--d-values", default="2")
-    p.add_argument("--r-values", default="1")
-    p.add_argument("--spec", help="model spec, default small wl2")
+    p = sub.add_parser("triangle", help="triangle detection: pair "
+                                        "convolutions against GIN and a "
+                                        "structure-blind baseline")
+    p.add_argument("--seed", type=int, default=7,
+                   help="dataset generation seed")
+    p.add_argument("--quick", action="store_true",
+                   help="smaller graphs and fewer samples")
+    p.set_defaults(fn=_cmd_triangle)
+
+    p = sub.add_parser("timing", help="scaling study: epoch time against n, "
+                                      "gamma against d")
+    p.add_argument("--n-values", default="32,64,128,256,512",
+                   help="comma separated graph sizes of the size sweep")
+    p.add_argument("--d-values", default="2,4,8,16",
+                   help="comma separated degrees of the degree sweep")
+    p.add_argument("--fixed-n", type=int, default=64,
+                   help="graph size for the degree sweep")
     p.add_argument("--graphs", type=int, default=100)
     p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--radius", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None, help="optional CSV path")
     p.set_defaults(fn=_cmd_timing)
 
     p = sub.add_parser("deltas", help="paired fold-wise comparison")

@@ -16,6 +16,7 @@ an accepted draw.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -457,10 +458,10 @@ def load_tu_dataset(path):
     Expects <name>_A.txt, <name>_graph_indicator.txt and
     <name>_graph_labels.txt, with vertex ids 1-indexed; optional
     node labels (one-hot encoded), node attributes and edge attributes.
-    Returns (graphs, labels) with labels remapped to {0, 1}.
+    Each graph's vertices must be consecutive lines of the indicator
+    file, in graph order. Returns (graphs, labels) with labels remapped
+    to {0, 1}.
     """
-    import os
-
     path = os.path.abspath(path)
     name = os.path.basename(path.rstrip("/"))
     prefix = os.path.join(path, name)
@@ -473,6 +474,15 @@ def load_tu_dataset(path):
     n_graphs = int(graph_of.max()) + 1 if n_total else 0
     if n_total and sorted(set(graph_of.tolist())) != list(range(n_graphs)):
         raise GraphError(f"{prefix}_graph_indicator.txt: graph ids not contiguous")
+    # local vertex ids below come from cumulative counts, which holds
+    # only while each graph's vertices form one block in graph order
+    back = np.flatnonzero(np.diff(graph_of) < 0)
+    if back.size:
+        k = int(back[0]) + 1
+        raise GraphError(f"{prefix}_graph_indicator.txt:{indicator[k][0]}: "
+                         f"vertex of graph {graph_of[k] + 1} after one of "
+                         f"graph {graph_of[k - 1] + 1}; each graph's vertices "
+                         "must be consecutive and in graph order")
 
     label_rows = _parse_ints(f"{prefix}_graph_labels.txt", 1)
     if len(label_rows) != n_graphs:
@@ -492,9 +502,8 @@ def load_tu_dataset(path):
     edge_rows = _parse_ints(f"{prefix}_A.txt", 2)
     per_graph_edges = [set() for _ in range(n_graphs)]
     edge_attr_of = {}
-    import os.path as osp
     attr_path = f"{prefix}_edge_attributes.txt"
-    edge_attrs = _parse_floats(attr_path) if osp.exists(attr_path) else None
+    edge_attrs = _parse_floats(attr_path) if os.path.exists(attr_path) else None
     if edge_attrs is not None and len(edge_attrs) != len(edge_rows):
         raise GraphError(f"{attr_path}: {len(edge_attrs)} rows for "
                          f"{len(edge_rows)} edges")
@@ -507,8 +516,8 @@ def load_tu_dataset(path):
                              f"{gu + 1} and {gv + 1}")
         if u == v:
             raise GraphError(f"{prefix}_A.txt:{lineno}: self-loop on vertex {u}")
-        a = u - 1 - starts[gu]
-        b = v - 1 - starts[gu]
+        a = int(u - 1 - starts[gu])
+        b = int(v - 1 - starts[gu])
         key = (min(a, b), max(a, b))
         per_graph_edges[gu].add(key)
         if edge_attrs is not None and (gu, key) not in edge_attr_of:
@@ -516,7 +525,7 @@ def load_tu_dataset(path):
 
     node_label_path = f"{prefix}_node_labels.txt"
     node_labels = None
-    if osp.exists(node_label_path):
+    if os.path.exists(node_label_path):
         rows = _parse_ints(node_label_path, 1)
         if len(rows) != n_total:
             raise GraphError(f"{node_label_path}: {len(rows)} labels for "
@@ -525,7 +534,7 @@ def load_tu_dataset(path):
         label_values = sorted(set(node_labels))
     node_attr_path = f"{prefix}_node_attributes.txt"
     node_attrs = None
-    if osp.exists(node_attr_path):
+    if os.path.exists(node_attr_path):
         node_attrs = _parse_floats(node_attr_path)
         if len(node_attrs) != n_total:
             raise GraphError(f"{node_attr_path}: {len(node_attrs)} rows for "
@@ -559,8 +568,6 @@ def load_tu_dataset(path):
 
 def save_tu_dataset(graphs, labels, path, name):
     """Writes graphs in the TU text format (edges in both directions)."""
-    import os
-
     os.makedirs(path, exist_ok=True)
     prefix = os.path.join(path, name)
     with open(f"{prefix}_A.txt", "w") as adj, \

@@ -269,12 +269,8 @@ class ModelSpec:
     d: int = 32               # feature width
     r: int = 1                # power radius, read by families that use it
     pool: str = "mean"
-    act: str = "logistic"     # sigma and sigma_g, also head hidden layers
+    act: str = "logistic"     # sigma and sigma_g, also the head's hidden layer
     lr: float = 1e-3
-    head: tuple = None        # head MLP hidden widths, default (d,)
-
-    def head_widths(self):
-        return tuple(self.head) if self.head is not None else (self.d,)
 
 
 def validate_model_spec(spec):
@@ -292,12 +288,8 @@ def validate_model_spec(spec):
 
 
 def format_model_spec(spec):
-    parts = [f"layer={spec.layer}", f"T={spec.t}", f"d={spec.d}",
-             f"r={spec.r}", f"pool={spec.pool}", f"act={spec.act}",
-             f"lr={spec.lr:g}"]
-    if spec.head is not None:
-        parts.append("head=" + "-".join(str(h) for h in spec.head))
-    return ",".join(parts)
+    return (f"layer={spec.layer},T={spec.t},d={spec.d},r={spec.r},"
+            f"pool={spec.pool},act={spec.act},lr={spec.lr:g}")
 
 
 def parse_model_spec(text):
@@ -311,7 +303,7 @@ def parse_model_spec(text):
             raise ValueError(f"malformed spec field {part!r}")
         key, value = part.split("=", 1)
         fields[key] = value
-    known = {"layer", "T", "t", "d", "r", "pool", "act", "lr", "head"}
+    known = {"layer", "T", "t", "d", "r", "pool", "act", "lr"}
     if fields.keys() - known:
         raise ValueError(f"unknown spec fields {sorted(fields.keys() - known)}")
     spec = ModelSpec(
@@ -322,8 +314,6 @@ def parse_model_spec(text):
         pool=fields.get("pool", "mean"),
         act=fields.get("act", "logistic"),
         lr=float(fields.get("lr", 1e-3)),
-        head=tuple(int(x) for x in fields["head"].split("-"))
-        if "head" in fields else None,
     )
     return validate_model_spec(spec)
 
@@ -529,7 +519,7 @@ def init_model_params(spec, in_dim, seed):
     dims = [in_dim] + [spec.d] * spec.t
     init = FAMILIES[spec.layer].init
     convs = [init(spec, dims[k], dims[k + 1], rng) for k in range(spec.t)]
-    head = _make_mlp(rng, [spec.d, *spec.head_widths(), 1], spec.act)
+    head = _make_mlp(rng, [spec.d, spec.d, 1], spec.act)
     score = None
     if spec.pool == "weighted_mean":
         score = T.glorot_uniform(rng, spec.d, 1)

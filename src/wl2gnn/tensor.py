@@ -464,12 +464,17 @@ class GradCheckReport:
     worst_index: tuple
 
 
-def grad_check(f, params, h=1e-5, tol=1e-4):
-    """Checks analytic gradients of a scalar-valued closure against
-    central differences (f(x+h) - f(x-h)) / 2h at every parameter entry.
+def grad_check(f, params, h=1e-3, tol=1e-4):
+    """Checks analytic gradients of a scalar-valued closure against the
+    five-point difference (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h
+    at every parameter entry.
 
     Relative error uses max(|analytic|, |numeric|, 1e-6) in the
-    denominator so near-zero gradients are compared absolutely.
+    denominator so near-zero gradients are compared absolutely. The
+    stencil's O(h^4) truncation lets h be large enough that rounding in
+    f, about eps |f| / h, stays far below that 1e-6 floor; the two-point
+    quotient at h = 1e-5 read 1e-10 of rounding at |f| = 8 and failed
+    correct gradients near 1e-7.
     """
     zero_grads(params)
     out = f()
@@ -482,12 +487,12 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
         for _ in it:
             idx = it.multi_index
             orig = p.data[idx]
-            p.data[idx] = orig + h
-            up = float(f().data[0, 0])
-            p.data[idx] = orig - h
-            down = float(f().data[0, 0])
+            at = []
+            for step in (2 * h, h, -h, -2 * h):
+                p.data[idx] = orig + step
+                at.append(float(f().data[0, 0]))
             p.data[idx] = orig
-            numeric = (up - down) / (2 * h)
+            numeric = (8 * (at[1] - at[2]) - (at[0] - at[3])) / (12 * h)
             a = analytic[k][idx]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             if rel > worst:

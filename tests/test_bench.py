@@ -1,3 +1,5 @@
+import argparse
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,7 +29,7 @@ from wl2gnn.bench import (
     _random_regular_circulant,
     _select,
 )
-from wl2gnn.cli import DEFAULT_GRID, main
+from wl2gnn.cli import DEFAULT_GRID, build_parser, main
 from wl2gnn.graphs import Graph, GraphError, save_tu_dataset
 from wl2gnn.layers import ModelSpec, init_model_params, input_width, prepare_units
 
@@ -507,7 +509,7 @@ def test_random_regular_circulant_degrees():
 def test_epoch_timing_rows_and_skips(tmp_path):
     spec = ModelSpec(layer="wl2", t=1, d=4, r=1, pool="mean",
                      act="logistic", lr=1e-3)
-    rows, warnings = epoch_timing([8, 9], [2, 3], [1], spec, n_graphs=3,
+    rows, warnings = epoch_timing([8, 9], [2, 3], spec, n_graphs=3,
                                   epochs=2, seed=0)
     assert [(r.n, r.d) for r in rows] == [(8, 2), (8, 3), (9, 2)]
     assert all(r.gamma > 0 and r.epoch_seconds > 0 for r in rows)
@@ -536,9 +538,8 @@ def test_scaling_study_is_its_two_sweeps():
         [8, 16, 32], [2, 4], fixed_n=16, n_graphs=3, epochs=2)
     spec = ModelSpec(layer="wl2", t=1, d=8, r=1, pool="mean",
                      act="logistic", lr=1e-3)
-    want_n, _ = epoch_timing([8, 16, 32], [2], [1], spec, n_graphs=3,
-                             epochs=2)
-    want_d, _ = epoch_timing([16], [2, 4], [1], spec, n_graphs=10, epochs=3)
+    want_n, _ = epoch_timing([8, 16, 32], [2], spec, n_graphs=3, epochs=2)
+    want_d, _ = epoch_timing([16], [2, 4], spec, n_graphs=10, epochs=3)
 
     def cells(rows):
         return [(r.n, r.d, r.r, r.gamma) for r in rows]
@@ -637,19 +638,20 @@ def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
 @pytest.mark.parametrize("flags,message", [
     (["--n-values", ","], "n_list is empty"),
     (["--d-values", ","], "d_list is empty"),
-    (["--r-values", ","], "r_list is empty"),
-    (["--spec", "layer=gin,T=1,d=4,act=relu", "--r-values", "1,2"],
-     "family gin ignores the radius"),
-], ids=["n-empty", "d-empty", "r-empty", "gin-radii"])
+], ids=["n-empty", "d-empty"])
 def test_cli_timing_rejects_empty_or_radius_blind_sweeps(tmp_path, capsys,
-                                                         flags, message):
+                                                         monkeypatch, flags,
+                                                         message):
+    # either list fails before the size sweep trains a single epoch
+    steps = []
+    monkeypatch.setattr(bench, "_train_step", lambda *a: steps.append(a))
     out = tmp_path / "out.csv"
     code = main(["timing", *CLI_BASE["timing"], *flags, "--out", str(out)])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     assert message in err[0]
-    assert not out.exists()
+    assert not out.exists() and not steps
 
 
 def test_cli_deltas_rejects_empty_results(tmp_path, capsys):
@@ -674,42 +676,64 @@ def test_cli_deltas_reports_paired_comparison(tmp_path, capsys):
                                        "pairs: significant at two sigma\n")
 
 
+TIMING_SMALL = ["--n-values", "8,16", "--d-values", "2,4", "--fixed-n", "8",
+                "--graphs", "3", "--epochs", "1"]
+
+
 def test_cli_timing_writes_one_row_per_cell(tmp_path, capsys):
     out = tmp_path / "timing.csv"
-    code = main(["timing", "--n-values", "8", "--d-values", "2",
-                 "--graphs", "2", "--epochs", "1", "--out", str(out)])
-    assert code == 0
+    assert main(["timing", *TIMING_SMALL, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,d,r,gamma,epoch_seconds"
-    assert len(lines) == 2 and lines[1].startswith("8,2,1,")
-    assert capsys.readouterr().out.endswith(f"1 rows -> {out}\n")
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["8", "2", "1"], ["16", "2", "1"], ["8", "2", "1"], ["8", "4", "1"]]
+    stdout = capsys.readouterr().out
+    assert "\nepoch-time slope over the top decade: " in stdout
+    assert "\ngamma slope in d: " in stdout
+    assert stdout.endswith(f"4 rows -> {out}\n")
 
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
-def test_script_help_exits_zero(script):
-    # imports every name the script takes from the package
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: ")
-
-
-def test_timing_sweep_runs_end_to_end():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "timing_sweep.py"),
-                           "--n-values", "8,16", "--d-values", "2,4",
-                           "--fixed-n", "8", "--graphs", "3", "--epochs", "1"],
-                          capture_output=True, text=True, timeout=120)
+def test_timing_sweep_runs_end_to_end(tmp_path):
+    # the scaling study as a shell runs it: a fresh interpreter on an
+    # uninstalled checkout, with the slopes on stdout and the CSV on disk
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "timing.csv"
+    proc = subprocess.run([sys.executable, "-m", "wl2gnn.cli", "timing",
+                           *TIMING_SMALL, "--out", str(out)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr
     assert "\nepoch-time slope over the top decade: " in proc.stdout
     assert "\ngamma slope in d: " in proc.stdout
+    assert len(out.read_text().strip().splitlines()) == 5
 
 
-def test_timing_sweep_rejects_a_one_point_fit():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "timing_sweep.py"),
-                           "--n-values", "16", "--graphs", "3", "--epochs",
-                           "1"], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert "cannot fit a log-log slope to x=[16.0]" in proc.stderr
+@pytest.mark.parametrize("command,flags,message", [
+    ("timing", ["--n-values", "16", "--graphs", "3", "--epochs", "1"],
+     "cannot fit a log-log slope to x=[16.0]"),
+    ("triangle", ["--seed", "-1"], "negative"),
+], ids=["timing-one-point", "triangle-negative-seed"])
+def test_cli_experiments_reject_bad_input(capsys, command, flags, message):
+    assert main([command, *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+
+
+def _subcommands():
+    return sorted(next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_subcommand_help_exits_zero(command):
+    # a fresh interpreter imports every name the command line takes from
+    # the package, as an uninstalled checkout runs it
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "wl2gnn.cli", command,
+                           "--help"], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

@@ -467,6 +467,28 @@ def test_tu_rejects_cross_graph_edge(tmp_path):
     assert "TOY_A.txt" in str(err.value)
 
 
+@pytest.mark.parametrize("edges", ["", "1, 3\n3, 1\n"],
+                         ids=["no-edges", "edge-1-3"])
+def test_tu_rejects_interleaved_graph_indicator(tmp_path, edges):
+    # vertices 1 and 3 belong to graph 1, 2 and 4 to graph 2; local ids
+    # would pair graph 1 with labels (5, 6) instead of (5, 7)
+    d = tmp_path / "MIX"
+    d.mkdir()
+    (d / "MIX_A.txt").write_text(edges)
+    (d / "MIX_graph_indicator.txt").write_text("1\n2\n1\n2\n")
+    (d / "MIX_graph_labels.txt").write_text("0\n1\n")
+    (d / "MIX_node_labels.txt").write_text("5\n6\n7\n8\n")
+    with pytest.raises(GraphError) as err:
+        load_tu_dataset(d)
+    assert "MIX_graph_indicator.txt:3: " in str(err.value)
+    assert "consecutive" in str(err.value)
+
+
+def test_tu_edges_are_python_ints(tmp_path):
+    graphs, _ = load_tu_dataset(write_toy_tu(tmp_path))
+    assert all(type(x) is int for g in graphs for e in g.edges for x in e)
+
+
 def test_tu_rejects_malformed_line(tmp_path):
     d = write_toy_tu(tmp_path)
     (d / "TOY_A.txt").write_text("1, 2\nbogus\n")

@@ -339,8 +339,11 @@ def test_model_spec_validation_errors():
 
 
 def test_parse_model_spec_rejects_unknown_key():
-    with pytest.raises(ValueError):
-        parse_model_spec("layer=wl2,T=1,d=4,r=1,pool=mean,act=relu,lr=1e-3,x=1")
+    # the head always has one hidden layer of width d, so head= is unknown
+    for field in ("x=1", "head=8-4"):
+        with pytest.raises(ValueError, match="unknown spec fields"):
+            parse_model_spec("layer=wl2,T=1,d=4,r=1,pool=mean,act=relu,"
+                             f"lr=1e-3,{field}")
 
 
 # ------------------------------------------------------------ full models
