@@ -171,7 +171,7 @@ def train_model(spec, units, labels, config, seed,
     if config.target_acc is not None and val_units is None:
         raise ValueError("target_acc needs a validation set")
     labels = np.asarray(labels, dtype=np.float64)
-    params = init_model_params(spec, input_width(spec, units), seed)
+    params = init_model_params(spec, input_width(units), seed)
     tensors = params.tensors()
     state = T.AdamState.for_params(tensors, spec.lr)
     rng = np.random.default_rng([seed, 0x5eed])
@@ -439,24 +439,21 @@ class TimingRow:
     epoch_seconds: float
 
 
+def _circulant_feasible(n, d):
+    """Whether some offset set makes a circulant graph on n vertices
+    d-regular: d // 2 offsets below n / 2, and for odd d the antipodal
+    offset n / 2, which needs an even n. Draws nothing."""
+    return d >= 1 and (n - 1) // 2 >= d // 2 and not (d % 2 and n % 2)
+
+
 def _random_regular_circulant(rng, n, d):
     """Random circulant graph with every vertex of degree exactly d, or
     None when no offset set can achieve it."""
-    if d < 1 or d >= n:
+    if not _circulant_feasible(n, d):
         return None
-    half = (n - 1) // 2
-    if d % 2 == 0:
-        if half < d // 2:
-            return None
-        offsets = rng.choice(np.arange(1, half + 1), size=d // 2,
-                             replace=False)
-    else:
-        # odd degree needs the antipodal offset, hence an even n
-        if n % 2 or (n // 2 - 1) < (d - 1) // 2:
-            return None
-        offsets = list(rng.choice(np.arange(1, n // 2), size=(d - 1) // 2,
-                                  replace=False)) + [n // 2]
-    return circulant_graph(n, offsets)
+    offsets = list(rng.choice(np.arange(1, (n - 1) // 2 + 1), size=d // 2,
+                              replace=False))
+    return circulant_graph(n, offsets + [n // 2] * (d % 2))
 
 
 def _require_nonempty(**sweeps):
@@ -466,8 +463,9 @@ def _require_nonempty(**sweeps):
             raise ValueError(f"{name} is empty")
 
 
-def epoch_timing(n_list, d_list, spec, n_graphs=100, epochs=100, seed=0):
-    """Wall-clock scaling sweep over (n, d) combinations at radius `spec.r`.
+def epoch_timing(n_list, d_list, r=1, n_graphs=100, epochs=100, seed=0):
+    """Wall-clock scaling sweep of a one-layer wl2 model over (n, d)
+    combinations at radius r.
 
     For each combination: a dataset of `n_graphs` random d-regular
     circulant graphs of size n is encoded, then full-batch training
@@ -476,29 +474,23 @@ def epoch_timing(n_list, d_list, spec, n_graphs=100, epochs=100, seed=0):
     (n, d) pairs are skipped with a warning; empty lists raise
     `ValueError`. Strictly serial. Returns (rows, warnings).
     """
-    validate_model_spec(spec)
+    spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
     _require_positive(n_graphs=n_graphs, epochs=epochs)
     _require_nonempty(n_list=n_list, d_list=d_list)
-    r = spec.r
     rows, warnings = [], []
     for n in n_list:
         for d in d_list:
-            rng = np.random.default_rng([seed, n, d, r])
-            graphs = []
-            for _ in range(n_graphs):
-                g = _random_regular_circulant(rng, n, d)
-                if g is None:
-                    break
-                graphs.append(g)
-            if len(graphs) < n_graphs:
+            if not _circulant_feasible(n, d):
                 warnings.append(f"skipped n={n} d={d} r={r}: no d-regular "
                                 "circulant exists")
                 continue
+            rng = np.random.default_rng([seed, n, d, r])
+            graphs = [_random_regular_circulant(rng, n, d)
+                      for _ in range(n_graphs)]
             labels = rng.integers(0, 2, size=n_graphs).astype(np.float64)
             units = prepare_units(spec, graphs)
             batch = combine_units(spec, units)
-            gamma = int(FAMILIES[spec.layer].gamma(batch))
-            params = init_model_params(spec, input_width(spec, units), seed)
+            params = init_model_params(spec, input_width(units), seed)
             tensors = params.tensors()
             state = T.AdamState.for_params(tensors, spec.lr)
             y = labels.reshape(-1, 1)
@@ -508,7 +500,7 @@ def epoch_timing(n_list, d_list, spec, n_graphs=100, epochs=100, seed=0):
             for _ in range(epochs):
                 _train_step(spec, params, tensors, state, batch, y)
             mean_seconds = (time.perf_counter() - start) / epochs
-            rows.append(TimingRow(n=n, d=d, r=r, gamma=gamma,
+            rows.append(TimingRow(n=n, d=d, r=r, gamma=batch.gamma,
                                   epoch_seconds=mean_seconds))
     return rows, warnings
 
@@ -539,16 +531,21 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     (about linear), and gamma against d over `d_list` at `fixed_n`
     (bounded by d^{2r}); that sweep needs only gamma, so it runs half the
     graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
-    slope in n, slope in d, warnings). Empty lists raise `ValueError`
-    before either sweep runs."""
+    slope in n, slope in d, warnings). Empty lists, and cells for which
+    no d-regular circulant exists, raise `ValueError` before either sweep
+    runs."""
     _require_nonempty(n_list=n_list, d_list=d_list)
-    spec = ModelSpec(layer="wl2", t=1, d=8, r=r, pool="mean", act="logistic",
-                     lr=1e-3)
-    rows_n, warnings = epoch_timing(n_list, [2], spec, n_graphs=n_graphs,
+    infeasible = [f"n={n} d={d}" for n, d in
+                  [(n, 2) for n in n_list] + [(fixed_n, d) for d in d_list]
+                  if not _circulant_feasible(n, d)]
+    if infeasible:
+        raise ValueError("no d-regular circulant exists for the sweep cells "
+                         + ", ".join(infeasible))
+    rows_n, warnings = epoch_timing(n_list, [2], r, n_graphs=n_graphs,
                                     epochs=epochs, seed=seed)
     top = [row for row in rows_n if row.n >= max(x.n for x in rows_n) / 10]
     slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
-    rows_d, warn_d = epoch_timing([fixed_n], d_list, spec,
+    rows_d, warn_d = epoch_timing([fixed_n], d_list, r,
                                   n_graphs=max(10, n_graphs // 2), epochs=3,
                                   seed=seed)
     slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])

@@ -81,8 +81,12 @@ def _cmd_cv(args):
     return 0
 
 
-def _parse_int_list(text):
-    return [int(x) for x in text.split(",") if x]
+def _parse_int_list(flag, text):
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma separated integers, "
+                         f"got {text!r}") from None
 
 
 def _cmd_triangle(args):
@@ -113,7 +117,8 @@ def _cmd_triangle(args):
 
 def _cmd_timing(args):
     rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
-        _parse_int_list(args.n_values), _parse_int_list(args.d_values),
+        _parse_int_list("--n-values", args.n_values),
+        _parse_int_list("--d-values", args.d_values),
         r=args.radius, fixed_n=args.fixed_n, n_graphs=args.graphs,
         epochs=args.epochs, seed=args.seed)
     _print_warnings(warnings)
@@ -210,6 +215,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # seeds feed numpy generators, which take no negative entropy
+        for name in ("seed", "triangle_seed"):
+            if (value := getattr(args, name, None)) is not None and value < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be a "
+                                 f"non-negative integer, got {value}")
         return args.fn(args)
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,20 +19,20 @@ pair information, pooling modes, and the constructive translation of
 weighted vertex-sum networks into stacks of pair convolutions.
 
 The four model families (`wl2`, `gin`, `gnn2`, `baseline`) are the
-entries of `FAMILIES`, and every family-specific step of model
-assembly, training and cross-validation is a lookup there. A new
-family provides one `Family` record: how to prepare the cacheable units
-of a graph list (one per graph, built in one pass over the list) and
-combine units into a batch, a batch's initial feature rows, one conv
-layer's parameters and forward step, the graph of each row, the
-reference-triple count, and whether the power radius `r` changes its
-units.
+entries of `FAMILIES`. A unit is one graph's cacheable input, a batch is
+units joined in one offset pass, and both carry initial feature rows
+`z0`, the graph of each row (`segment_index`) and `n_graphs`: `wl2`
+batches are encodings, the others `VertexBatch`es of rows and directed
+neighbour pairs, over vertices or (`gnn2`) the radius-1 encoding's rows.
+A new family provides a five-field `Family` record: unit preparation for
+a graph list, batching, one conv layer's parameters and forward step,
+and whether the power radius `r` changes its units.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -207,7 +207,7 @@ def gnn2_layer(batch, z, params):
 
     Rows follow the encoding order at radius 1: loops, then edges.
     """
-    agg = _neighbor_sum(z, *batch.neighbor_indices, batch.enc.m)
+    agg = _neighbor_sum(z, *batch.neighbor_indices, batch.n)
     return ACTIVATIONS[params.act](T.add(T.matmul(z, params.w),
                                          T.matmul(agg, params.w_g)))
 
@@ -294,43 +294,36 @@ def format_model_spec(spec):
 
 def parse_model_spec(text):
     """Parses the flat key-value form, e.g.
-    `layer=wl2,T=3,d=32,r=2,pool=mean,act=relu,lr=0.001`."""
-    fields = {}
+    `layer=wl2,T=3,d=32,r=2,pool=mean,act=relu,lr=0.001`. Fields take
+    their names, types and defaults from `ModelSpec`; `T` is `t`."""
+    given = {}
     for part in text.replace(" ", ",").split(","):
         if not part:
             continue
         if "=" not in part:
             raise ValueError(f"malformed spec field {part!r}")
         key, value = part.split("=", 1)
-        fields[key] = value
-    known = {"layer", "T", "t", "d", "r", "pool", "act", "lr"}
-    if fields.keys() - known:
-        raise ValueError(f"unknown spec fields {sorted(fields.keys() - known)}")
-    spec = ModelSpec(
-        layer=fields.get("layer", "wl2"),
-        t=int(fields.get("T", fields.get("t", 3))),
-        d=int(fields.get("d", 32)),
-        r=int(fields.get("r", 1)),
-        pool=fields.get("pool", "mean"),
-        act=fields.get("act", "logistic"),
-        lr=float(fields.get("lr", 1e-3)),
-    )
-    return validate_model_spec(spec)
+        given[key] = value
+    unknown = given.keys() - {f.name for f in fields(ModelSpec)} - {"T"}
+    if unknown:
+        raise ValueError(f"unknown spec fields {sorted(unknown)}")
+    if "T" in given:
+        given["t"] = given.pop("T")
+    default = ModelSpec()
+    return validate_model_spec(replace(default, **{
+        k: type(getattr(default, k))(v) for k, v in given.items()}))
 
 
 # ---------------------------------------------------------------------------
 # batched model inputs
 
 
-def _neighbor_indices(batch):
-    """src and dst as `ScatterIndex`es, whose scatter plans every layer
-    run on the batch shares."""
-    return T.ScatterIndex(batch.src), T.ScatterIndex(batch.dst)
-
-
 @dataclass
 class VertexBatch:
-    vertex_features: np.ndarray
+    """Feature rows, the directed neighbour pairs between them and the
+    graph of each row: a `gin` or `baseline` batch over vertices, and as
+    `EdgeBatch` a `gnn2` batch. A unit is the batch of one graph."""
+    z0: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     seg: np.ndarray
@@ -338,11 +331,12 @@ class VertexBatch:
 
     @property
     def n(self):
-        return self.vertex_features.shape[0]
+        return self.z0.shape[0]
 
     @cached_property
     def neighbor_indices(self):
-        return _neighbor_indices(self)
+        """`src` and `dst` as `ScatterIndex`es, shared by every layer."""
+        return T.ScatterIndex(self.src), T.ScatterIndex(self.dst)
 
     @cached_property
     def segment_index(self):
@@ -350,47 +344,58 @@ class VertexBatch:
         return T.ScatterIndex(self.seg)
 
 
-def vertex_batch(graphs):
-    graphs = list(graphs)
-    x = np.vstack([g.vertex_features for g in graphs])
-    sizes = [g.n for g in graphs]
-    src, dst = _directed_pairs(_union_edges(graphs, _offsets(sizes))[0])
-    return VertexBatch(vertex_features=x, src=src, dst=dst,
-                       seg=np.repeat(np.arange(len(graphs)), sizes),
-                       n_graphs=len(graphs))
-
-
 @dataclass
-class EdgeBatch:
-    """Rows of the radius-1 encoding plus the edge neighborhood
-    adjacency as directed index pairs."""
+class EdgeBatch(VertexBatch):
+    """A `VertexBatch` over the rows of the radius-1 encoding `enc`,
+    whose neighbour pairs are the edges of the edge neighborhood graph."""
     enc: Wl2Encoding
-    src: np.ndarray
-    dst: np.ndarray
 
-    @cached_property
-    def neighbor_indices(self):
-        return _neighbor_indices(self)
+
+def vertex_units(graphs):
+    """One `VertexBatch` per graph: its vertex features and both
+    directions of its edges, in edge order, read in one pass over the
+    list. Each unit owns its arrays."""
+    graphs = list(graphs)
+    voff = _offsets([g.n for g in graphs])
+    edges, eoff = _union_edges(graphs, voff)
+    src, dst = _directed_pairs(edges)
+    cuts, voff = (2 * eoff).tolist(), voff.tolist()
+    return [VertexBatch(g.vertex_features.copy(), src[a:b] - v, dst[a:b] - v,
+                        np.zeros(g.n, dtype=np.int64), 1)
+            for g, v, a, b in zip(graphs, voff, cuts, cuts[1:])]
 
 
 def edge_batch_units(graphs):
     """One `EdgeBatch` per graph: its radius-1 encoding and the edges of
     its edge neighborhood graph, both built over the whole list."""
     graphs = list(graphs)
-    return [EdgeBatch(enc, *_directed_pairs(pairs)) for enc, pairs in
-            zip(encode_all(graphs, 1), edge_neighborhood_pairs(graphs))]
+    return [EdgeBatch(enc.z0, *_directed_pairs(pairs),
+                      np.zeros(enc.m, dtype=np.int64), 1, enc)
+            for enc, pairs in zip(encode_all(graphs, 1),
+                                  edge_neighborhood_pairs(graphs))]
+
+
+def _stacked(units):
+    """`VertexBatch` fields of one-graph units in one offset pass; `src`
+    and `dst` shift in place after both exist, as in `combine_encodings`."""
+    rows = [u.n for u in units]
+    z0 = np.vstack([u.z0 for u in units])
+    src = np.concatenate([u.src for u in units])
+    dst = np.concatenate([u.dst for u in units])
+    shift = np.repeat(_offsets(rows)[:-1], [len(u.src) for u in units])
+    src += shift
+    dst += shift
+    return z0, src, dst, np.repeat(np.arange(len(units)), rows), len(units)
+
+
+def combine_vertex_batches(units):
+    return VertexBatch(*_stacked(list(units)))
 
 
 def combine_edge_batches(units):
     units = list(units)
     enc = combine_encodings(u.enc for u in units)
-    src = np.concatenate([u.src for u in units])
-    dst = np.concatenate([u.dst for u in units])
-    # shifted in place after both exist, as in `combine_encodings`
-    shift = np.repeat(enc.graph_offsets[:, 0], [len(u.src) for u in units])
-    src += shift
-    dst += shift
-    return EdgeBatch(enc=enc, src=src, dst=dst)
+    return EdgeBatch(*_stacked(units), enc)
 
 
 # ---------------------------------------------------------------------------
@@ -440,26 +445,14 @@ def _glorot(rng, d_in, d_out, count):
 @dataclass(frozen=True)
 class Family:
     """What model assembly, training and cross-validation need from one
-    model family. A unit is one graph's cacheable input; the initial
-    feature width of a unit is `features(unit).shape[1]`."""
+    model family. Units and batches carry their initial feature rows
+    `z0`, the graph of each row (`segment_index`) and `n_graphs`."""
     prepare: Callable     # (spec, graphs) -> one unit per graph, in order
     combine: Callable     # units -> batch
-    features: Callable    # unit or batch -> initial feature rows
     init: Callable        # (spec, d_in, d_out, rng) -> one conv's parameters
     conv: Callable        # (batch, rows, conv parameters) -> next rows
-    segments: Callable    # batch -> (ScatterIndex of row graphs, n_graphs)
-    gamma: Callable       # batch -> reference triples, 0 for vertex models
-    uses_radius: bool     # whether spec.r changes the prepared units
+    uses_radius: bool = False  # whether spec.r changes the units
 
-
-# the vertex families read the graphs themselves; the baseline's convs are
-# single dense layers, so it never looks at the edges
-_VERTEX_INPUTS = dict(prepare=lambda spec, graphs: list(graphs),
-                      combine=vertex_batch,
-                      features=lambda batch: batch.vertex_features,
-                      segments=lambda batch: (batch.segment_index,
-                                              batch.n_graphs),
-                      gamma=lambda batch: 0, uses_radius=False)
 
 # the lambdas around encode_all, edge_batch_units, combine_encodings and
 # wl2_conv look them up at call time, so wrappers installed on this module
@@ -467,29 +460,27 @@ _VERTEX_INPUTS = dict(prepare=lambda spec, graphs: list(graphs),
 FAMILIES = {
     "wl2": Family(prepare=lambda spec, graphs: encode_all(graphs, spec.r),
                   combine=lambda units: combine_encodings(units),
-                  features=lambda enc: enc.z0,
                   init=lambda spec, d_in, d_out, rng: Wl2LayerParams(
                       *_glorot(rng, d_in, d_out, 3), spec.act, spec.act),
                   conv=lambda enc, z, params: wl2_conv(enc, z, params),
-                  segments=lambda enc: (enc.segment_index, enc.n_graphs),
-                  gamma=lambda enc: enc.gamma, uses_radius=True),
-    "gin": Family(init=lambda spec, d_in, d_out, rng: GinLayerParams(
+                  uses_radius=True),
+    "gin": Family(prepare=lambda spec, graphs: vertex_units(graphs),
+                  combine=combine_vertex_batches,
+                  init=lambda spec, d_in, d_out, rng: GinLayerParams(
                       GIN_EPS, _make_mlp(rng, [d_in, spec.d, d_out], spec.act,
                                          final_act=spec.act)),
-                  conv=gin_layer, **_VERTEX_INPUTS),
+                  conv=gin_layer),
     "gnn2": Family(prepare=lambda spec, graphs: edge_batch_units(graphs),
                    combine=combine_edge_batches,
-                   features=lambda batch: batch.enc.z0,
                    init=lambda spec, d_in, d_out, rng: Gnn2LayerParams(
                        *_glorot(rng, d_in, d_out, 2), spec.act),
-                   conv=gnn2_layer,
-                   segments=lambda batch: (batch.enc.segment_index,
-                                           batch.enc.n_graphs),
-                   gamma=lambda batch: batch.enc.gamma, uses_radius=False),
-    "baseline": Family(init=lambda spec, d_in, d_out, rng: _make_mlp(
+                   conv=gnn2_layer),
+    # the baseline's convs are dense layers that never read the pairs
+    "baseline": Family(prepare=lambda spec, graphs: vertex_units(graphs),
+                       combine=combine_vertex_batches,
+                       init=lambda spec, d_in, d_out, rng: _make_mlp(
                            rng, [d_in, d_out], spec.act, final_act=spec.act),
-                       conv=lambda batch, z, mlp: mlp.apply(z),
-                       **_VERTEX_INPUTS),
+                       conv=lambda batch, z, mlp: mlp.apply(z)),
 }
 
 
@@ -507,9 +498,9 @@ def combine_units(spec, units):
     return FAMILIES[spec.layer].combine(units)
 
 
-def input_width(spec, units):
+def input_width(units):
     """Initial feature width of units from `prepare_units`."""
-    return FAMILIES[spec.layer].features(units[0]).shape[1]
+    return units[0].z0.shape[1]
 
 
 def init_model_params(spec, in_dim, seed):
@@ -530,12 +521,12 @@ def forward_model(spec, params, batch):
     """Runs the full model on a batch; returns per-graph logits as an
     (n_graphs, 1) tensor wired for the reverse pass."""
     family = FAMILIES[spec.layer]
-    z = constant(family.features(batch))
+    z = constant(batch.z0)
     for conv in params.convs:
         z = family.conv(batch, z, conv)
-    seg, n_graphs = family.segments(batch)
     scores = T.matmul(z, params.score) if params.score is not None else None
-    pooled = pool_segments(z, spec.pool, seg, n_graphs, scores=scores)
+    pooled = pool_segments(z, spec.pool, batch.segment_index, batch.n_graphs,
+                           scores=scores)
     return params.head.apply(pooled)
 
 

@@ -131,7 +131,7 @@ def test_criterion_03_vertex_models_blind():
         for g, h in spec_pairs:
             for seed in range(10):
                 params = init_model_params(
-                    spec, input_width(spec, prepare_units(spec, [g])), seed)
+                    spec, input_width(prepare_units(spec, [g])), seed)
                 logits = []
                 for graph in (g, h):
                     batch = combine_units(spec, prepare_units(spec, [graph]))
@@ -299,7 +299,7 @@ def test_criterion_08_gradient_suite():
                      act="logistic", lr=1e-3)
     graphs = [cycle_graph(5), complete_graph(4)]
     units = prepare_units(spec, graphs)
-    params = init_model_params(spec, input_width(spec, units), seed=88)
+    params = init_model_params(spec, input_width(units), seed=88)
     batch = combine_units(spec, units)
     targets = np.array([[1.0], [0.0]])
     check(lambda: T.bce(forward_model(spec, params, batch), targets),

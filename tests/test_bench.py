@@ -95,7 +95,7 @@ def test_stratified_holdout_keeps_rare_class():
 def test_evaluate_model_chunking_invariant():
     graphs, labels = separable_dataset(9)
     units = prepare_units(BASELINE, graphs)
-    params = init_model_params(BASELINE, input_width(BASELINE, graphs), 3)
+    params = init_model_params(BASELINE, input_width(units), 3)
     a = evaluate_model(BASELINE, params, units, labels, batch_size=2)
     b = evaluate_model(BASELINE, params, units, labels, batch_size=256)
     assert abs(a[0] - b[0]) <= 1e-12 and a[1] == b[1]
@@ -157,7 +157,7 @@ def test_train_model_target_needs_a_validation_set():
 def test_evaluate_model_rejects_empty_mislabelled_or_unbatched_units():
     graphs, labels = separable_dataset(6)
     units = prepare_units(BASELINE, graphs)
-    params = init_model_params(BASELINE, input_width(BASELINE, graphs), 0)
+    params = init_model_params(BASELINE, input_width(units), 0)
     with pytest.raises(ValueError, match="units is empty"):
         evaluate_model(BASELINE, params, [], [])
     with pytest.raises(ValueError, match="3 labels for 6 units"):
@@ -507,9 +507,7 @@ def test_random_regular_circulant_degrees():
 
 
 def test_epoch_timing_rows_and_skips(tmp_path):
-    spec = ModelSpec(layer="wl2", t=1, d=4, r=1, pool="mean",
-                     act="logistic", lr=1e-3)
-    rows, warnings = epoch_timing([8, 9], [2, 3], spec, n_graphs=3,
+    rows, warnings = epoch_timing([8, 9], [2, 3], r=1, n_graphs=3,
                                   epochs=2, seed=0)
     assert [(r.n, r.d) for r in rows] == [(8, 2), (8, 3), (9, 2)]
     assert all(r.gamma > 0 and r.epoch_seconds > 0 for r in rows)
@@ -536,10 +534,8 @@ def test_loglog_slope_recovers_exponent():
 def test_scaling_study_is_its_two_sweeps():
     rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
         [8, 16, 32], [2, 4], fixed_n=16, n_graphs=3, epochs=2)
-    spec = ModelSpec(layer="wl2", t=1, d=8, r=1, pool="mean",
-                     act="logistic", lr=1e-3)
-    want_n, _ = epoch_timing([8, 16, 32], [2], spec, n_graphs=3, epochs=2)
-    want_d, _ = epoch_timing([16], [2, 4], spec, n_graphs=10, epochs=3)
+    want_n, _ = epoch_timing([8, 16, 32], [2], r=1, n_graphs=3, epochs=2)
+    want_d, _ = epoch_timing([16], [2, 4], r=1, n_graphs=10, epochs=3)
 
     def cells(rows):
         return [(r.n, r.d, r.r, r.gamma) for r in rows]
@@ -557,8 +553,15 @@ def test_scaling_study_is_its_two_sweeps():
     ([1, 2], [2], 8),      # no cell of the size sweep is feasible
     ([8, 16], [8, 9], 8),  # no cell of the degree sweep is feasible
 ])
-def test_scaling_study_rejects_infeasible_sweeps(n_list, d_list, fixed_n):
-    with pytest.raises(ValueError, match="cannot fit a log-log slope"):
+def test_scaling_study_rejects_infeasible_sweeps(monkeypatch, n_list, d_list,
+                                                 fixed_n):
+    def no_training(*args):
+        raise AssertionError("trained before checking the sweeps")
+    monkeypatch.setattr(bench, "_train_step", no_training)
+    # both infeasible cells are named, before either sweep trains
+    with pytest.raises(ValueError, match=r"no d-regular circulant exists for "
+                                         r"the sweep cells n=\d+ d=\d+, "
+                                         r"n=\d+ d=\d+$"):
         scaling_study(n_list, d_list, fixed_n=fixed_n, n_graphs=3, epochs=1)
 
 
@@ -712,8 +715,20 @@ def test_timing_sweep_runs_end_to_end(tmp_path):
 @pytest.mark.parametrize("command,flags,message", [
     ("timing", ["--n-values", "16", "--graphs", "3", "--epochs", "1"],
      "cannot fit a log-log slope to x=[16.0]"),
-    ("triangle", ["--seed", "-1"], "negative"),
-], ids=["timing-one-point", "triangle-negative-seed"])
+    ("triangle", ["--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
+    ("timing", ["--n-values", "8,x"],
+     "--n-values takes comma separated integers, got '8,x'"),
+    ("timing", ["--d-values", "2.5"],
+     "--d-values takes comma separated integers, got '2.5'"),
+    ("cv", ["--triangle-seed", "-1", "--out", "unused.csv"],
+     "--triangle-seed must be a non-negative integer, got -1"),
+    ("timing", ["--fixed-n", "0", "--n-values", "8,16", "--d-values", "2,4",
+                "--graphs", "3", "--epochs", "1"],
+     "no d-regular circulant exists for the sweep cells n=0 d=2, n=0 d=4"),
+], ids=["timing-one-point", "triangle-negative-seed", "timing-bad-n-value",
+        "timing-bad-d-value", "cv-negative-triangle-seed",
+        "timing-infeasible-cells"])
 def test_cli_experiments_reject_bad_input(capsys, command, flags, message):
     assert main([command, *flags]) == 2
     err = capsys.readouterr().err.strip().splitlines()

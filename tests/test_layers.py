@@ -11,6 +11,7 @@ from wl2gnn.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_neighborhood_graph,
     graph_power,
 )
 from wl2gnn.layers import (
@@ -37,7 +38,7 @@ from wl2gnn.layers import (
     simulation_block_boundaries,
     simulation_initial_features,
     validate_model_spec,
-    vertex_batch,
+    vertex_units,
     vertex_sum_forward,
     wl2_conv,
     wl2_conv_naive,
@@ -185,7 +186,7 @@ def test_naive_rejects_wrong_row_count():
 def test_gin_edgeless_identity_mlp_eps_zero():
     g = Graph(3, (), vertex_features=np.arange(6.0).reshape(3, 2))
     params = GinLayerParams(eps=0.0, mlp=Mlp([]))
-    out = gin_layer(vertex_batch([g]), constant(g.vertex_features), params)
+    out = gin_layer(vertex_units([g])[0], constant(g.vertex_features), params)
     assert np.array_equal(out.data, g.vertex_features)
 
 
@@ -194,7 +195,7 @@ def test_gin_star_center_differs_from_leaves():
     rng = np.random.default_rng(3)
     params = GinLayerParams(eps=0.1, mlp=_make_mlp(rng, [1, 4, 4], "relu",
                                                    final_act="relu"))
-    out = gin_layer(vertex_batch([g]), constant(g.vertex_features),
+    out = gin_layer(vertex_units([g])[0], constant(g.vertex_features),
                     params).data
     assert not np.allclose(out[0], out[1])
     assert np.allclose(out[1], out[2]) and np.allclose(out[2], out[3])
@@ -338,6 +339,11 @@ def test_model_spec_validation_errors():
             validate_model_spec(spec)
 
 
+def test_parse_model_spec_takes_model_spec_defaults():
+    assert parse_model_spec("") == ModelSpec()
+    assert parse_model_spec("d=8,t=2,T=5") == ModelSpec(t=5, d=8)
+
+
 def test_parse_model_spec_rejects_unknown_key():
     # the head always has one hidden layer of width d, so head= is unknown
     for field in ("x=1", "head=8-4"):
@@ -367,7 +373,7 @@ def test_forward_model_permutation_invariant(spec):
                      (1, 4)), seed=7)
     perm = [3, 0, 6, 2, 5, 1, 4]
     h = relabel(g, perm)
-    params = init_model_params(spec, input_width(spec, prepare_units(spec, [g])),
+    params = init_model_params(spec, input_width(prepare_units(spec, [g])),
                                seed=11)
     logits = []
     for graph in (g, h):
@@ -381,7 +387,7 @@ def test_forward_model_without_graph_matches_recorded_pass(spec, monkeypatch):
     gs = [featured(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2)), seed=3),
           featured(4, ((0, 1), (1, 2), (2, 3)), seed=4)]
     units = prepare_units(spec, gs)
-    params = init_model_params(spec, input_width(spec, units), seed=5)
+    params = init_model_params(spec, input_width(units), seed=5)
     batch = combine_units(spec, units)
     targets = np.array([[1.0], [0.0]])
     recorded = forward_model(spec, params, batch)
@@ -447,7 +453,7 @@ def test_wl2_outputs_are_bounded_by_2wl(pair, seed, act):
             spec = ModelSpec(layer="wl2", t=2, d=6, r=r, pool=pool_mode,
                              act=act)
             units = prepare_units(spec, [g, h])
-            params = init_model_params(spec, input_width(spec, units), seed)
+            params = init_model_params(spec, input_width(units), seed)
             a, b = forward_model(spec, params,
                                  combine_units(spec, units)).data[:, 0]
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (r, pool_mode)
@@ -488,7 +494,7 @@ def test_gin_outputs_are_bounded_by_1wl(pair, seed, act):
     for pool_mode in ("mean", "sum", "weighted_mean"):
         spec = ModelSpec(layer="gin", t=2, d=6, r=1, pool=pool_mode, act=act)
         units = prepare_units(spec, [g, h])
-        params = init_model_params(spec, input_width(spec, units), seed)
+        params = init_model_params(spec, input_width(units), seed)
         a, b = forward_model(spec, params,
                              combine_units(spec, units)).data[:, 0]
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), pool_mode
@@ -500,7 +506,7 @@ def test_forward_model_batch_matches_single(spec):
           featured(4, ((0, 1), (1, 2), (0, 2), (2, 3)), seed=9),
           featured(3, (), seed=10)]
     units = prepare_units(spec, gs)
-    params = init_model_params(spec, input_width(spec, units), seed=12)
+    params = init_model_params(spec, input_width(units), seed=12)
     batch = combine_units(spec, units)
     batched = forward_model(spec, params, batch).data
     assert batched.shape == (3, 1)
@@ -535,15 +541,14 @@ def test_batch_builds_each_scatter_plan_once(layer, monkeypatch):
     gs = [featured(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
                    seed=s) for s in range(3)]
     units = prepare_units(spec, gs)
-    params = init_model_params(spec, input_width(spec, units), seed=1)
+    params = init_model_params(spec, input_width(units), seed=1)
     batch = combine_units(spec, units)
     T.backward(T.sum_all(forward_model(spec, params, batch)))
     indices = (batch.scatter_indices if layer == "wl2"
                else batch.neighbor_indices)
-    pooling, _ = FAMILIES[layer].segments(batch)
     # every layer, forward and backward, and the pooling sum through the
     # batch's plans
-    for index in (*indices, pooling):
+    for index in (*indices, batch.segment_index):
         assert sum(idx is index.idx for idx in built) == 1
 
 
@@ -556,7 +561,7 @@ def test_wl2_graph_keeps_no_gamma_row_tensor():
     gs = [featured(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
                    seed=s) for s in range(3)]
     units = prepare_units(spec, gs)
-    params = init_model_params(spec, input_width(spec, units), seed=1)
+    params = init_model_params(spec, input_width(units), seed=1)
     batch = combine_units(spec, units)
     assert batch.gamma not in (batch.m, batch.n_graphs, batch.width, spec.d)
     loss = T.bce(forward_model(spec, params, batch),
@@ -571,12 +576,50 @@ def test_wl2_graph_keeps_no_gamma_row_tensor():
     assert len(seen) > 3 * spec.t
 
 
+# --------------------------------------------------------- batch contents
+
+def _mixed_graphs():
+    return [featured(5, ((0, 1), (1, 2), (2, 3), (3, 4)), seed=8),
+            featured(3, (), seed=10),
+            featured(4, ((0, 1), (1, 2), (0, 2), (2, 3)), seed=9)]
+
+
+@pytest.mark.parametrize("layer", ["gin", "baseline"])
+def test_vertex_batch_reads_off_the_disjoint_union(layer):
+    spec = ModelSpec(layer=layer)
+    gs = _mixed_graphs()
+    batch = combine_units(spec, prepare_units(spec, gs))
+    union = disjoint_union(gs)
+    assert np.array_equal(batch.z0, union.vertex_features)
+    assert batch.src.tolist() == [v for i, j in union.edges for v in (i, j)]
+    assert batch.dst.tolist() == [v for i, j in union.edges for v in (j, i)]
+    assert batch.seg.tolist() == [k for k, g in enumerate(gs)
+                                  for _ in range(g.n)]
+    assert batch.n_graphs == len(gs)
+
+
+def test_gnn2_batch_reads_off_its_encoding():
+    spec = ModelSpec(layer="gnn2")
+    gs = _mixed_graphs()
+    batch = combine_units(spec, prepare_units(spec, gs))
+    enc = batch.enc
+    assert np.array_equal(batch.z0, enc.z0)
+    assert np.array_equal(batch.seg, enc.row_segments())
+    assert batch.n_graphs == enc.n_graphs == len(gs)
+    # the edges of each edge neighborhood graph, on the batch's rows
+    edges = [(i + off, j + off)
+             for g, off in zip(gs, enc.graph_offsets[:, 0].tolist())
+             for i, j in edge_neighborhood_graph(g).edges]
+    assert batch.src.tolist() == [v for i, j in edges for v in (i, j)]
+    assert batch.dst.tolist() == [v for i, j in edges for v in (j, i)]
+
+
 def test_end_to_end_gradients_wl2():
     g1, g2 = cycle_graph(5), complete_graph(4)
     spec = ModelSpec(layer="wl2", t=2, d=3, r=2, pool="weighted_mean",
                      act="logistic", lr=1e-3)
     units = prepare_units(spec, [g1, g2])
-    params = init_model_params(spec, input_width(spec, units), seed=13)
+    params = init_model_params(spec, input_width(units), seed=13)
     batch = combine_units(spec, units)
     y = np.array([[1.0], [0.0]])
     report = T.grad_check(
