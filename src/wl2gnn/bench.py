@@ -128,22 +128,24 @@ def _require_labelled(units, labels, name):
         raise ValueError(f"{len(labels)} labels for {len(units)} {name}")
 
 
-def evaluate_model(spec, params, units, labels, batch_size=256):
-    """Full-dataset loss and accuracy, computed in chunks without an
-    autodiff graph."""
-    _require_positive(batch_size=batch_size)
+# graphs per evaluation chunk, the default training batch: a larger
+# chunk's pair-scatter temporaries set the process's peak memory
+EVAL_CHUNK = 32
+
+
+def evaluate_model(spec, params, units, labels):
+    """Full-dataset loss and accuracy, computed in chunks of `EVAL_CHUNK`
+    graphs without an autodiff graph."""
     _require_labelled(units, labels, "units")
-    labels = np.asarray(labels, dtype=np.float64)
-    total_loss, correct = 0.0, 0
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     with T.no_graph():
-        for lo in range(0, len(units), batch_size):
-            chunk = units[lo:lo + batch_size]
-            y = labels[lo:lo + batch_size].reshape(-1, 1)
-            logits = forward_model(spec, params, combine_units(spec, chunk))
-            loss = T.bce(logits, y)
-            total_loss += float(loss.data[0, 0]) * len(chunk)
-            correct += int(np.sum((logits.data > 0.0) == (y > 0.5)))
-    return total_loss / len(units), correct / len(units)
+        logits = np.concatenate([
+            forward_model(spec, params, combine_units(
+                spec, units[lo:lo + EVAL_CHUNK])).data
+            for lo in range(0, len(units), EVAL_CHUNK)])
+        loss = T.bce(T.constant(logits), labels)
+    correct = int(np.sum((logits > 0.0) == (labels > 0.5)))
+    return float(loss.data[0, 0]), correct / len(units)
 
 
 def _train_step(spec, params, tensors, state, batch, y):
@@ -456,11 +458,17 @@ def _random_regular_circulant(rng, n, d):
     return circulant_graph(n, offsets + [n // 2] * (d % 2))
 
 
-def _require_nonempty(**sweeps):
-    """Raises `ValueError` naming the first empty sweep list."""
+def _require_sweeps(cells, **sweeps):
+    """Raises `ValueError` naming the first empty sweep list, or every
+    (n, d) cell of `cells` for which no d-regular circulant exists."""
     for name, values in sweeps.items():
         if len(values) == 0:
             raise ValueError(f"{name} is empty")
+    infeasible = [f"n={n} d={d}" for n, d in cells
+                  if not _circulant_feasible(n, d)]
+    if infeasible:
+        raise ValueError("no d-regular circulant exists for the sweep cells "
+                         + ", ".join(infeasible))
 
 
 def epoch_timing(n_list, d_list, r=1, n_graphs=100, epochs=100, seed=0):
@@ -470,20 +478,17 @@ def epoch_timing(n_list, d_list, r=1, n_graphs=100, epochs=100, seed=0):
     For each combination: a dataset of `n_graphs` random d-regular
     circulant graphs of size n is encoded, then full-batch training
     epochs are timed (forward, loss, backward, update) and the mean
-    epoch duration recorded together with the batch gamma. Infeasible
-    (n, d) pairs are skipped with a warning; empty lists raise
-    `ValueError`. Strictly serial. Returns (rows, warnings).
+    epoch duration recorded together with the batch gamma. Empty lists,
+    and combinations for which no d-regular circulant exists, raise
+    `ValueError` before any training. Strictly serial. Returns the rows.
     """
     spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
     _require_positive(n_graphs=n_graphs, epochs=epochs)
-    _require_nonempty(n_list=n_list, d_list=d_list)
-    rows, warnings = [], []
+    _require_sweeps([(n, d) for n in n_list for d in d_list],
+                    n_list=n_list, d_list=d_list)
+    rows = []
     for n in n_list:
         for d in d_list:
-            if not _circulant_feasible(n, d):
-                warnings.append(f"skipped n={n} d={d} r={r}: no d-regular "
-                                "circulant exists")
-                continue
             rng = np.random.default_rng([seed, n, d, r])
             graphs = [_random_regular_circulant(rng, n, d)
                       for _ in range(n_graphs)]
@@ -502,7 +507,7 @@ def epoch_timing(n_list, d_list, r=1, n_graphs=100, epochs=100, seed=0):
             mean_seconds = (time.perf_counter() - start) / epochs
             rows.append(TimingRow(n=n, d=d, r=r, gamma=batch.gamma,
                                   epoch_seconds=mean_seconds))
-    return rows, warnings
+    return rows
 
 
 def write_timing_csv(rows, path):
@@ -531,22 +536,15 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     (about linear), and gamma against d over `d_list` at `fixed_n`
     (bounded by d^{2r}); that sweep needs only gamma, so it runs half the
     graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
-    slope in n, slope in d, warnings). Empty lists, and cells for which
-    no d-regular circulant exists, raise `ValueError` before either sweep
-    runs."""
-    _require_nonempty(n_list=n_list, d_list=d_list)
-    infeasible = [f"n={n} d={d}" for n, d in
-                  [(n, 2) for n in n_list] + [(fixed_n, d) for d in d_list]
-                  if not _circulant_feasible(n, d)]
-    if infeasible:
-        raise ValueError("no d-regular circulant exists for the sweep cells "
-                         + ", ".join(infeasible))
-    rows_n, warnings = epoch_timing(n_list, [2], r, n_graphs=n_graphs,
-                                    epochs=epochs, seed=seed)
+    slope in n, slope in d). Empty lists, and cells for which no d-regular
+    circulant exists, raise `ValueError` before either sweep runs."""
+    _require_sweeps([(n, 2) for n in n_list] + [(fixed_n, d) for d in d_list],
+                    n_list=n_list, d_list=d_list)
+    rows_n = epoch_timing(n_list, [2], r, n_graphs=n_graphs, epochs=epochs,
+                          seed=seed)
     top = [row for row in rows_n if row.n >= max(x.n for x in rows_n) / 10]
     slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
-    rows_d, warn_d = epoch_timing([fixed_n], d_list, r,
-                                  n_graphs=max(10, n_graphs // 2), epochs=3,
-                                  seed=seed)
+    rows_d = epoch_timing([fixed_n], d_list, r,
+                          n_graphs=max(10, n_graphs // 2), epochs=3, seed=seed)
     slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])
-    return rows_n, rows_d, slope_n, slope_d, warnings + warn_d
+    return rows_n, rows_d, slope_n, slope_d

@@ -116,12 +116,11 @@ def _cmd_triangle(args):
 
 
 def _cmd_timing(args):
-    rows_n, rows_d, slope_n, slope_d, warnings = scaling_study(
+    rows_n, rows_d, slope_n, slope_d = scaling_study(
         _parse_int_list("--n-values", args.n_values),
         _parse_int_list("--d-values", args.d_values),
         r=args.radius, fixed_n=args.fixed_n, n_graphs=args.graphs,
         epochs=args.epochs, seed=args.seed)
-    _print_warnings(warnings)
     print("size sweep (d=2):")
     for r in rows_n:
         print(f"  n={r.n:5d}  gamma={r.gamma:8d}  epoch={r.epoch_seconds:.4f}s")

@@ -49,8 +49,9 @@ class Wl2Encoding:
     ref_l: np.ndarray       # (gamma,) int64, target row of each triple
     ref_g1: np.ndarray      # (gamma,) int64, row of e_il
     ref_g2: np.ndarray      # (gamma,) int64, row of e_lj
-    rows: np.ndarray        # (m, 2) int64, vertex pair of each row, i <= j
-    graph_offsets: np.ndarray  # (n_graphs, 4): row start/count, ref start/count
+    rows: np.ndarray        # (m, 2) int64, graph-local pair per row, i <= j
+    seg: np.ndarray         # (m,) int64, graph of each row
+    n_graphs: int
     radius: int
 
     @property
@@ -65,10 +66,6 @@ class Wl2Encoding:
     def width(self):
         return self.z0.shape[1]
 
-    @property
-    def n_graphs(self):
-        return self.graph_offsets.shape[0]
-
     @cached_property
     def scatter_indices(self):
         """ref_l, ref_g1 and ref_g2 as `ScatterIndex`es: every layer run
@@ -78,12 +75,8 @@ class Wl2Encoding:
 
     @cached_property
     def segment_index(self):
-        """`row_segments()` as a `ScatterIndex`, for pooling."""
-        return ScatterIndex(self.row_segments())
-
-    def row_segments(self):
-        """Graph id per feature row, for pooling batched outputs."""
-        return np.repeat(np.arange(self.n_graphs), self.graph_offsets[:, 1])
+        """`seg` as a `ScatterIndex`, for pooling."""
+        return ScatterIndex(self.seg)
 
     def triples(self):
         return list(zip(self.ref_l.tolist(), self.ref_g1.tolist(),
@@ -259,10 +252,8 @@ def _encode_run(graphs, r):
         out.append(Wl2Encoding(
             z0=z0[rs:re].copy(), ref_l=ref_l[ts:te] - rs,
             ref_g1=ref_g1[ts:te] - rs, ref_g2=ref_g2[ts:te] - rs,
-            rows=rows[rs:re] - vb[k],
-            graph_offsets=np.asarray([[0, re - rs, 0, te - ts]],
-                                     dtype=np.int64),
-            radius=r))
+            rows=rows[rs:re] - vb[k], seg=np.zeros(re - rs, dtype=np.int64),
+            n_graphs=1, radius=r))
     return out
 
 
@@ -312,12 +303,32 @@ def edge_neighborhood_pairs(graphs):
             for k in range(len(graphs))]
 
 
-def combine_encodings(encodings):
-    """Concatenates encodings of separate graphs into one batch.
+def stack_units(units, names, pointers):
+    """Joins units, each a batch of its own, in one offset pass: returns
+    the fields `names` as keyword arguments of the joined batch. Every
+    field is concatenated first; then the row-pointer columns `pointers`,
+    of equal length within a unit, shift in place by the rows of the
+    units before, and `seg` by their graphs. In-place shifts after the
+    concatenation: shifted copies left a heap on which later training
+    steps page-faulted (rounds ~30% longer)."""
+    out = {name: np.concatenate([getattr(u, name) for u in units])
+           for name in names}
+    counts = [len(u.z0) for u in units]
+    shift = np.repeat(_offsets(counts)[:-1],
+                      [len(getattr(u, pointers[0])) for u in units])
+    for name in pointers:
+        out[name] += shift
+    if "seg" in out:
+        out["seg"] += np.repeat(_offsets([u.n_graphs for u in units])[:-1],
+                                counts)
+        out["n_graphs"] = sum(u.n_graphs for u in units)
+    return out
 
-    Row and pointer indices are shifted by cumulative offsets; vertex
-    ids in `rows` are shifted as in a disjoint union. All encodings
-    must share the radius and feature width.
+
+def combine_encodings(encodings):
+    """Joins encodings into one batch with `stack_units`. Each row keeps
+    its graph-local vertex pair in `rows`, and `seg` names its graph. All
+    encodings must share the radius and feature width.
     """
     encodings = list(encodings)
     if not encodings:
@@ -327,20 +338,6 @@ def combine_encodings(encodings):
     for enc in encodings:
         if enc.radius != radius or enc.width != width:
             raise ValueError("encodings differ in radius or feature width")
-    z0 = np.vstack([enc.z0 for enc in encodings])
-    ref_l = np.concatenate([enc.ref_l for enc in encodings])
-    ref_g1 = np.concatenate([enc.ref_g1 for enc in encodings])
-    ref_g2 = np.concatenate([enc.ref_g2 for enc in encodings])
-    rows = np.vstack([enc.rows for enc in encodings])
-    # shifted in place, after the batch's arrays: shifted copies left a heap
-    # on which later training steps page-faulted (rounds ~30% longer)
-    m = [enc.m for enc in encodings]
-    gamma = [enc.gamma for enc in encodings]
-    verts = [int(enc.rows.max()) + 1 if enc.m else 0 for enc in encodings]
-    row_off, ref_off = _offsets(m)[:-1], _offsets(gamma)[:-1]
-    ref_shift = np.repeat(row_off, gamma)
-    for ref in (ref_l, ref_g1, ref_g2):
-        ref += ref_shift
-    rows += np.repeat(_offsets(verts)[:-1], m)[:, None]
-    return Wl2Encoding(z0, ref_l, ref_g1, ref_g2, rows,
-                       np.column_stack([row_off, m, ref_off, gamma]), radius)
+    return Wl2Encoding(radius=radius, **stack_units(
+        encodings, ("z0", "ref_l", "ref_g1", "ref_g2", "rows", "seg"),
+        ("ref_l", "ref_g1", "ref_g2")))

@@ -19,14 +19,15 @@ pair information, pooling modes, and the constructive translation of
 weighted vertex-sum networks into stacks of pair convolutions.
 
 The four model families (`wl2`, `gin`, `gnn2`, `baseline`) are the
-entries of `FAMILIES`. A unit is one graph's cacheable input, a batch is
-units joined in one offset pass, and both carry initial feature rows
-`z0`, the graph of each row (`segment_index`) and `n_graphs`: `wl2`
-batches are encodings, the others `VertexBatch`es of rows and directed
-neighbour pairs, over vertices or (`gnn2`) the radius-1 encoding's rows.
-A new family provides a five-field `Family` record: unit preparation for
-a graph list, batching, one conv layer's parameters and forward step,
-and whether the power radius `r` changes its units.
+entries of `FAMILIES`. A unit is one graph's cacheable input and a batch
+is units joined in one `stack_units` offset pass. Both carry the fields
+`z0` (initial feature rows), `seg` (the graph of each row) and
+`n_graphs`: `wl2` batches are encodings, whose `rows` stay graph-local,
+and the others `VertexBatch`es that add directed neighbour pairs, over
+vertices or (`gnn2`) the radius-1 encoding's rows. A new family provides
+a five-field `Family` record: unit preparation for a graph list,
+batching, one conv layer's parameters and forward step, and whether the
+power radius `r` changes its units.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoding import (Wl2Encoding, _offsets, _union_edges, combine_encodings,
-                       edge_neighborhood_pairs, encode_all)
+                       edge_neighborhood_pairs, encode_all, stack_units)
 from .graphs import GraphError, check_feature_widths
 
 # not called here since units are prepared a list at a time, but the
@@ -366,36 +367,27 @@ def vertex_units(graphs):
 
 
 def edge_batch_units(graphs):
-    """One `EdgeBatch` per graph: its radius-1 encoding and the edges of
-    its edge neighborhood graph, both built over the whole list."""
+    """One `EdgeBatch` per graph: its radius-1 encoding, whose rows and
+    segments it shares, and the edges of its edge neighborhood graph,
+    both built over the whole list."""
     graphs = list(graphs)
-    return [EdgeBatch(enc.z0, *_directed_pairs(pairs),
-                      np.zeros(enc.m, dtype=np.int64), 1, enc)
+    return [EdgeBatch(enc.z0, *_directed_pairs(pairs), enc.seg, 1, enc)
             for enc, pairs in zip(encode_all(graphs, 1),
                                   edge_neighborhood_pairs(graphs))]
 
 
-def _stacked(units):
-    """`VertexBatch` fields of one-graph units in one offset pass; `src`
-    and `dst` shift in place after both exist, as in `combine_encodings`."""
-    rows = [u.n for u in units]
-    z0 = np.vstack([u.z0 for u in units])
-    src = np.concatenate([u.src for u in units])
-    dst = np.concatenate([u.dst for u in units])
-    shift = np.repeat(_offsets(rows)[:-1], [len(u.src) for u in units])
-    src += shift
-    dst += shift
-    return z0, src, dst, np.repeat(np.arange(len(units)), rows), len(units)
-
-
 def combine_vertex_batches(units):
-    return VertexBatch(*_stacked(list(units)))
+    return VertexBatch(**stack_units(list(units), ("z0", "src", "dst", "seg"),
+                                     ("src", "dst")))
 
 
 def combine_edge_batches(units):
+    """The batch's rows, segments and graph count are those of its
+    combined encoding, the same arrays."""
     units = list(units)
     enc = combine_encodings(u.enc for u in units)
-    return EdgeBatch(*_stacked(units), enc)
+    return EdgeBatch(z0=enc.z0, seg=enc.seg, n_graphs=enc.n_graphs, enc=enc,
+                     **stack_units(units, ("src", "dst"), ("src", "dst")))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +438,7 @@ def _glorot(rng, d_in, d_out, count):
 class Family:
     """What model assembly, training and cross-validation need from one
     model family. Units and batches carry their initial feature rows
-    `z0`, the graph of each row (`segment_index`) and `n_graphs`."""
+    `z0`, the graph of each row `seg` (`segment_index`) and `n_graphs`."""
     prepare: Callable     # (spec, graphs) -> one unit per graph, in order
     combine: Callable     # units -> batch
     init: Callable        # (spec, d_in, d_out, rng) -> one conv's parameters

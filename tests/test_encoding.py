@@ -151,29 +151,27 @@ def test_radius_must_be_positive():
 
 def test_singleton_batch_equals_plain_encoding():
     g = cycle_graph(5)
-    a = encode(g, 2)
-    b = combine_encodings([encode(g, 2)])
-    assert np.array_equal(a.z0, b.z0)
-    assert a.triples() == b.triples()
-    assert np.array_equal(a.graph_offsets, b.graph_offsets)
+    assert_same_encoding(combine_encodings([encode(g, 2)]), encode(g, 2))
 
 
 def test_batch_slicing_reproduces_parts():
     gs = [cycle_graph(4), complete_graph(3), cycle_graph(6)]
     batch = combine_encodings([encode(g, 2) for g in gs])
-    # the parts tile the batch's rows and triples, in order
-    offsets = batch.graph_offsets
-    starts, counts = offsets[:, [0, 2]], offsets[:, [1, 3]]
-    assert np.array_equal(starts, np.cumsum(counts, axis=0) - counts)
-    assert counts.sum(axis=0).tolist() == [batch.m, batch.gamma]
-    assert batch.row_segments().tolist() == [
-        gid for gid, count in enumerate(counts[:, 0]) for _ in range(count)]
-    for g, (rs, rc, ts, tc) in zip(gs, batch.graph_offsets):
+    assert batch.n_graphs == len(gs)
+    # the parts tile the batch's rows and triples, in order, and keep
+    # their graph-local vertex pairs
+    rs, ts = 0, 0
+    for k, g in enumerate(gs):
         single = encode(g, 2)
+        rc, tc = single.m, single.gamma
+        assert batch.seg[rs:rs + rc].tolist() == [k] * rc
         assert np.array_equal(batch.z0[rs:rs + rc], single.z0)
+        assert np.array_equal(batch.rows[rs:rs + rc], single.rows)
         shifted = [(a - rs, b - rs, c - rs)
                    for a, b, c in batch.triples()[ts:ts + tc]]
         assert shifted == single.triples()
+        rs, ts = rs + rc, ts + tc
+    assert (rs, ts) == (batch.m, batch.gamma)
 
 
 def test_batch_rejects_mixed_widths():
@@ -308,12 +306,10 @@ def encode_loop_form(g, r):
                        ref_g1=np.asarray(ref_g1, dtype=np.int64),
                        ref_g2=np.asarray(ref_g2, dtype=np.int64),
                        rows=np.asarray(order, dtype=np.int64).reshape(m, 2),
-                       graph_offsets=np.asarray([[0, m, 0, len(ref_l)]],
-                                                dtype=np.int64),
-                       radius=r)
+                       seg=np.zeros(m, dtype=np.int64), n_graphs=1, radius=r)
 
 
-ENCODING_FIELDS = ("z0", "ref_l", "ref_g1", "ref_g2", "rows", "graph_offsets")
+ENCODING_FIELDS = ("z0", "ref_l", "ref_g1", "ref_g2", "rows", "seg")
 
 
 @st.composite
@@ -371,7 +367,7 @@ def assert_same_encoding(fast, slow):
         a, b = getattr(fast, field), getattr(slow, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
-    assert fast.radius == slow.radius
+    assert (fast.n_graphs, fast.radius) == (slow.n_graphs, slow.radius)
 
 
 @settings(max_examples=60, deadline=None)

@@ -500,6 +500,26 @@ def test_gin_outputs_are_bounded_by_1wl(pair, seed, act):
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), pool_mode
 
 
+@settings(max_examples=50, deadline=None)
+@given(wl1_equivalent_pairs(), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from(["relu", "logistic"]))
+def test_gnn2_outputs_are_bounded_by_1wl(pair, seed, act):
+    """1-WL-equivalent graphs have edge neighborhood graphs that 1-WL
+    cannot separate either, and any seeded gnn2 model, which sums over
+    those graphs, gives them the same logits under every trainable
+    pooling, up to summation order."""
+    g, h = pair
+    assert distinguishable(edge_neighborhood_graph(g),
+                           edge_neighborhood_graph(h), 1) is False
+    for pool_mode in ("mean", "sum", "weighted_mean"):
+        spec = ModelSpec(layer="gnn2", t=2, d=6, pool=pool_mode, act=act)
+        units = prepare_units(spec, [g, h])
+        params = init_model_params(spec, input_width(units), seed)
+        a, b = forward_model(spec, params,
+                             combine_units(spec, units)).data[:, 0]
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), pool_mode
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.layer)
 def test_forward_model_batch_matches_single(spec):
     gs = [featured(5, ((0, 1), (1, 2), (2, 3), (3, 4)), seed=8),
@@ -603,12 +623,13 @@ def test_gnn2_batch_reads_off_its_encoding():
     gs = _mixed_graphs()
     batch = combine_units(spec, prepare_units(spec, gs))
     enc = batch.enc
-    assert np.array_equal(batch.z0, enc.z0)
-    assert np.array_equal(batch.seg, enc.row_segments())
+    assert batch.z0 is enc.z0 and batch.seg is enc.seg
+    assert batch.seg.tolist() == [k for k, g in enumerate(gs)
+                                  for _ in range(g.n + g.num_edges)]
     assert batch.n_graphs == enc.n_graphs == len(gs)
     # the edges of each edge neighborhood graph, on the batch's rows
-    edges = [(i + off, j + off)
-             for g, off in zip(gs, enc.graph_offsets[:, 0].tolist())
+    offsets = np.searchsorted(batch.seg, np.arange(len(gs))).tolist()
+    edges = [(i + off, j + off) for g, off in zip(gs, offsets)
              for i, j in edge_neighborhood_graph(g).edges]
     assert batch.src.tolist() == [v for i, j in edges for v in (i, j)]
     assert batch.dst.tolist() == [v for i, j in edges for v in (j, i)]
