@@ -103,9 +103,7 @@ def stratified_holdout(indices, labels, fraction, rng):
         take = max(1, int(round(fraction * len(idx))))
         held.extend(idx[:take].tolist())
     held = np.asarray(sorted(held), dtype=np.int64)
-    rest = np.asarray(sorted(set(indices.tolist()) - set(held.tolist())),
-                      dtype=np.int64)
-    return rest, held
+    return np.setdiff1d(indices, held), held
 
 
 def _require_positive(**counts):
@@ -242,33 +240,25 @@ def _select_spec(cache, labels, grid, config, inner_idx, held_idx, rng):
     return best_spec
 
 
-def _run_fold(cache, labels, grid, config, dataset, folds, fold):
-    """Selection and repeated retraining for one outer fold. Sees the
-    test fold only for the single final evaluation per repeat."""
-    test_idx = folds[fold]
-    train_idx = np.asarray(sorted(set(range(len(labels)))
-                                  - set(test_idx.tolist())), dtype=np.int64)
-    rng = np.random.default_rng([config.seed, fold])
-    # drawn even for a one-spec grid: retraining early-stops on it
-    inner_idx, held_idx = stratified_holdout(train_idx, labels,
-                                             config.holdout, rng)
+def _run_fold(cache, labels, grid, config, dataset, fold, split):
+    """Selection and repeated retraining for one outer fold's split. Sees
+    the test fold only for the single final evaluation per repeat."""
+    test_idx, train_idx, inner_idx, held_idx, rng = split
     # a one-spec grid has nothing to select
     best_spec = grid[0] if len(grid) == 1 else _select_spec(
         cache, labels, grid, config, inner_idx, held_idx, rng)
-    results = []
     units = cache[_unit_key(best_spec)]
+    train, held, test = (_select(units, idx)
+                         for idx in (train_idx, held_idx, test_idx))
+    results = []
     for repeat in range(config.repeats):
-        trained = train_model(best_spec, _select(units, train_idx),
-                              labels[train_idx], config,
-                              seed=int(np.random.default_rng(
-                                  [config.seed, fold, repeat]).integers(2 ** 31)),
-                              val_units=_select(units, held_idx),
-                              val_labels=labels[held_idx])
-        _, train_acc = evaluate_model(best_spec, trained.params,
-                                      _select(units, train_idx),
+        repeat_rng = np.random.default_rng([config.seed, fold, repeat])
+        trained = train_model(best_spec, train, labels[train_idx], config,
+                              seed=int(repeat_rng.integers(2 ** 31)),
+                              val_units=held, val_labels=labels[held_idx])
+        _, train_acc = evaluate_model(best_spec, trained.params, train,
                                       labels[train_idx])
-        _, test_acc = evaluate_model(best_spec, trained.params,
-                                     _select(units, test_idx),
+        _, test_acc = evaluate_model(best_spec, trained.params, test,
                                      labels[test_idx])
         results.append(FoldResult(
             dataset=dataset, model=format_model_spec(best_spec),
@@ -278,15 +268,9 @@ def _run_fold(cache, labels, grid, config, dataset, folds, fold):
     return results
 
 
-def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
-    """Full cross-validation; returns FoldResults sorted by
-    (fold, repeat) regardless of worker count."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(graphs) != len(labels):
-        raise ValueError("graphs and labels differ in length")
-    _require_positive(epochs=config.epochs, batch_size=config.batch_size,
-                      repeats=config.repeats, patience=config.patience,
-                      workers=config.workers)
+def check_grid(grid):
+    """The grid's specs, validated; raises `ValueError` for an empty grid
+    or a spec with min pooling."""
     grid = [validate_model_spec(s) for s in grid]
     if not grid:
         raise ValueError("empty model grid")
@@ -294,33 +278,53 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
         if spec.pool == "min":
             raise ValueError("min pooling is a demonstration mode, "
                              "not part of the training grid")
+    return grid
+
+
+def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
+    """Full cross-validation; returns FoldResults sorted by
+    (fold, repeat) regardless of worker count. Every fold's split is
+    built and checked before any unit is prepared."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(graphs) != len(labels):
+        raise ValueError("graphs and labels differ in length")
+    _require_positive(epochs=config.epochs, batch_size=config.batch_size,
+                      repeats=config.repeats, patience=config.patience,
+                      workers=config.workers)
+    grid = check_grid(grid)
     # more folds than a class has graphs leaves test folds without that
     # class, or empty
-    classes, counts = np.unique(labels, return_counts=True)
-    smallest = min(counts, default=0)
+    smallest = min(np.unique(labels, return_counts=True)[1], default=0)
     if not 2 <= config.folds <= smallest:
         raise ValueError(f"cannot split into {config.folds} stratified folds: "
                          f"need at least 2 and at most the smallest class "
                          f"count ({smallest})")
-    # a training fold keeps all but ceil(count / folds) graphs of a class,
-    # and the inner holdout takes at least one of them
-    for cls, count in zip(classes, counts):
-        kept = count - -(-count // config.folds)
-        held = max(1, int(round(config.holdout * kept)))
-        if kept <= held:
-            raise ValueError(f"class {cls} has only {count} graphs: with "
-                             f"{config.folds} folds a training fold keeps "
-                             f"{kept} and the holdout takes {held}, leaving "
-                             "none to train on")
-    folds = stratified_folds(labels, config.folds, np.random.default_rng(config.seed))
+    # the fold's own generator draws the holdout, even for a one-spec grid
+    # (retraining early-stops on it), and then the selection seeds
+    splits = []
+    for fold, test_idx in enumerate(stratified_folds(
+            labels, config.folds, np.random.default_rng(config.seed))):
+        train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
+        rng = np.random.default_rng([config.seed, fold])
+        inner_idx, held_idx = stratified_holdout(train_idx, labels,
+                                                 config.holdout, rng)
+        lost = np.setdiff1d(labels[train_idx], labels[inner_idx])
+        if lost.size:
+            cls = lost[0]
+            raise ValueError(
+                f"class {cls} has only {np.sum(labels == cls)} graphs: the "
+                f"holdout of fold {fold} takes all "
+                f"{np.sum(labels[train_idx] == cls)} that its training fold "
+                "keeps, leaving none to train on")
+        splits.append((test_idx, train_idx, inner_idx, held_idx, rng))
     # units are prepared once and shipped to the workers
     fold_task = partial(_run_fold, _unit_cache(grid, graphs), labels, grid,
-                        config, dataset, folds)
+                        config, dataset)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_fold = list(pool.map(fold_task, range(config.folds)))
+            per_fold = list(pool.map(fold_task, range(config.folds), splits))
     else:
-        per_fold = [fold_task(fold) for fold in range(config.folds)]
+        per_fold = list(map(fold_task, range(config.folds), splits))
     results = sorted((r for rows in per_fold for r in rows),
                      key=lambda r: (r.fold, r.repeat))
     if out_path is not None:
@@ -458,58 +462,6 @@ def _random_regular_circulant(rng, n, d):
     return circulant_graph(n, offsets + [n // 2] * (d % 2))
 
 
-def _require_sweeps(cells, **sweeps):
-    """Raises `ValueError` naming the first empty sweep list, or every
-    (n, d) cell of `cells` for which no d-regular circulant exists."""
-    for name, values in sweeps.items():
-        if len(values) == 0:
-            raise ValueError(f"{name} is empty")
-    infeasible = [f"n={n} d={d}" for n, d in cells
-                  if not _circulant_feasible(n, d)]
-    if infeasible:
-        raise ValueError("no d-regular circulant exists for the sweep cells "
-                         + ", ".join(infeasible))
-
-
-def epoch_timing(n_list, d_list, r=1, n_graphs=100, epochs=100, seed=0):
-    """Wall-clock scaling sweep of a one-layer wl2 model over (n, d)
-    combinations at radius r.
-
-    For each combination: a dataset of `n_graphs` random d-regular
-    circulant graphs of size n is encoded, then full-batch training
-    epochs are timed (forward, loss, backward, update) and the mean
-    epoch duration recorded together with the batch gamma. Empty lists,
-    and combinations for which no d-regular circulant exists, raise
-    `ValueError` before any training. Strictly serial. Returns the rows.
-    """
-    spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
-    _require_positive(n_graphs=n_graphs, epochs=epochs)
-    _require_sweeps([(n, d) for n in n_list for d in d_list],
-                    n_list=n_list, d_list=d_list)
-    rows = []
-    for n in n_list:
-        for d in d_list:
-            rng = np.random.default_rng([seed, n, d, r])
-            graphs = [_random_regular_circulant(rng, n, d)
-                      for _ in range(n_graphs)]
-            labels = rng.integers(0, 2, size=n_graphs).astype(np.float64)
-            units = prepare_units(spec, graphs)
-            batch = combine_units(spec, units)
-            params = init_model_params(spec, input_width(units), seed)
-            tensors = params.tensors()
-            state = T.AdamState.for_params(tensors, spec.lr)
-            y = labels.reshape(-1, 1)
-            # the first step warms up, untimed
-            _train_step(spec, params, tensors, state, batch, y)
-            start = time.perf_counter()
-            for _ in range(epochs):
-                _train_step(spec, params, tensors, state, batch, y)
-            mean_seconds = (time.perf_counter() - start) / epochs
-            rows.append(TimingRow(n=n, d=d, r=r, gamma=batch.gamma,
-                                  epoch_seconds=mean_seconds))
-    return rows
-
-
 def write_timing_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -529,6 +481,37 @@ def loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+def _sweep_rows(spec, cells, n_graphs, epochs, seed):
+    """Times full-batch training epochs of `spec` on each (n, d) cell's
+    `n_graphs` random d-regular circulant graphs. Every cell is prepared
+    and warmed up by one untimed step first; then the cells step in turn,
+    so that a drift in host speed reaches them alike, and a row reads the
+    median of its cell's steps."""
+    cells_run = []
+    for n, d in cells:
+        rng = np.random.default_rng([seed, n, d, spec.r])
+        graphs = [_random_regular_circulant(rng, n, d)
+                  for _ in range(n_graphs)]
+        labels = rng.integers(0, 2, size=n_graphs).astype(np.float64)
+        units = prepare_units(spec, graphs)
+        batch = combine_units(spec, units)
+        params = init_model_params(spec, input_width(units), seed)
+        tensors = params.tensors()
+        step = partial(_train_step, spec, params, tensors,
+                       T.AdamState.for_params(tensors, spec.lr), batch,
+                       labels.reshape(-1, 1))
+        step()
+        cells_run.append((n, d, batch.gamma, step, []))
+    for _ in range(epochs):
+        for *_, step, seconds in cells_run:
+            start = time.perf_counter()
+            step()
+            seconds.append(time.perf_counter() - start)
+    return [TimingRow(n=n, d=d, r=spec.r, gamma=gamma,
+                      epoch_seconds=float(np.median(seconds)))
+            for n, d, gamma, _, seconds in cells_run]
+
+
 def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
                   seed=0):
     """The scaling study of a one-layer wl2 model at radius r: epoch time
@@ -536,15 +519,23 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     (about linear), and gamma against d over `d_list` at `fixed_n`
     (bounded by d^{2r}); that sweep needs only gamma, so it runs half the
     graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
-    slope in n, slope in d). Empty lists, and cells for which no d-regular
-    circulant exists, raise `ValueError` before either sweep runs."""
-    _require_sweeps([(n, 2) for n in n_list] + [(fixed_n, d) for d in d_list],
-                    n_list=n_list, d_list=d_list)
-    rows_n = epoch_timing(n_list, [2], r, n_graphs=n_graphs, epochs=epochs,
-                          seed=seed)
+    slope in n, slope in d). Bad counts, empty lists and cells without a
+    d-regular circulant raise `ValueError` before either sweep runs."""
+    spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
+    _require_positive(n_graphs=n_graphs, epochs=epochs)
+    for name, values in (("n_list", n_list), ("d_list", d_list)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
+    size_cells = [(n, 2) for n in n_list]
+    degree_cells = [(fixed_n, d) for d in d_list]
+    infeasible = [f"n={n} d={d}" for n, d in size_cells + degree_cells
+                  if not _circulant_feasible(n, d)]
+    if infeasible:
+        raise ValueError("no d-regular circulant exists for the sweep cells "
+                         + ", ".join(infeasible))
+    rows_n = _sweep_rows(spec, size_cells, n_graphs, epochs, seed)
     top = [row for row in rows_n if row.n >= max(x.n for x in rows_n) / 10]
     slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
-    rows_d = epoch_timing([fixed_n], d_list, r,
-                          n_graphs=max(10, n_graphs // 2), epochs=3, seed=seed)
+    rows_d = _sweep_rows(spec, degree_cells, max(10, n_graphs // 2), 3, seed)
     slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])
     return rows_n, rows_d, slope_n, slope_d

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (DEFAULT_RADII, TrainConfig, foldwise_deltas,
+from .bench import (DEFAULT_RADII, TrainConfig, check_grid, foldwise_deltas,
                     read_results_csv, run_cv, scaling_study,
                     triangle_experiment, write_timing_csv)
 from .graphs import GraphError, TriangleConfig, generate_triangle_dataset, \
@@ -38,14 +38,11 @@ def _print_warnings(warnings):
 
 
 def _load_dataset(args):
-    if args.triangle_seed is not None:
-        graphs, labels, warnings = generate_triangle_dataset(args.triangle_seed)
-        _print_warnings(warnings)
-        return graphs, labels, "TRIANGLE"
-    if args.dataset is None:
-        raise GraphError("need --dataset DIR or --triangle-seed N")
-    graphs, labels = load_tu_dataset(args.dataset)
-    return graphs, labels, os.path.basename(args.dataset.rstrip("/"))
+    if args.triangle_seed is None:
+        return load_tu_dataset(args.dataset)
+    graphs, labels, warnings = generate_triangle_dataset(args.triangle_seed)
+    _print_warnings(warnings)
+    return graphs, labels
 
 
 def _dataset_flags(sub):
@@ -55,10 +52,14 @@ def _dataset_flags(sub):
 
 
 def _cmd_cv(args):
-    graphs, labels, name = _load_dataset(args)
-    radius = args.radius
-    if radius is None:
-        radius = DEFAULT_RADII.get(name)
+    # the grid is read and checked before the dataset is loaded or generated
+    if args.triangle_seed is not None:
+        name = "TRIANGLE"
+    elif args.dataset is None:
+        raise GraphError("need --dataset DIR or --triangle-seed N")
+    else:
+        name = os.path.basename(args.dataset.rstrip("/"))
+    radius = DEFAULT_RADII.get(name) if args.radius is None else args.radius
     if args.grid_file:
         with open(args.grid_file) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()
@@ -69,6 +70,8 @@ def _cmd_cv(args):
     if radius is not None:
         grid = [replace(s, r=radius) if FAMILIES[s.layer].uses_radius else s
                 for s in grid]
+    grid = check_grid(grid)
+    graphs, labels = _load_dataset(args)
     config = TrainConfig(epochs=args.epochs, patience=args.patience,
                          batch_size=args.batch_size, seed=args.seed,
                          folds=args.folds, repeats=args.repeats,

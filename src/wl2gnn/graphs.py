@@ -63,8 +63,6 @@ class Graph:
         object.__setattr__(self, "edges", tuple(canon[k] for k in order))
         vf = _as_features(self.vertex_features, self.n, "vertex_features")
         ef = _as_features(self.edge_features, len(canon), "edge_features")
-        if self.edge_features is not None and len(order) != len(canon):
-            raise GraphError("edge_features rows do not align with edges")
         # edge features follow the canonical edge order
         object.__setattr__(self, "vertex_features", vf)
         object.__setattr__(self, "edge_features", ef[order] if ef.shape[0] else ef)

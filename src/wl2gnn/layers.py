@@ -308,11 +308,17 @@ def parse_model_spec(text):
     unknown = given.keys() - {f.name for f in fields(ModelSpec)} - {"T"}
     if unknown:
         raise ValueError(f"unknown spec fields {sorted(unknown)}")
+    default = ModelSpec()
+    for key, value in given.items():
+        kind = type(getattr(default, key.lower()))  # T is t
+        try:
+            given[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"spec field {key} must be {kind.__name__}, "
+                             f"got {value!r}") from None
     if "T" in given:
         given["t"] = given.pop("T")
-    default = ModelSpec()
-    return validate_model_spec(replace(default, **{
-        k: type(getattr(default, k))(v) for k, v in given.items()}))
+    return validate_model_spec(replace(default, **given))
 
 
 # ---------------------------------------------------------------------------

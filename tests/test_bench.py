@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wl2gnn import bench
+from wl2gnn import bench, cli
 from wl2gnn.bench import (
     DEFAULT_RADII,
     FoldResult,
     TrainConfig,
-    epoch_timing,
     evaluate_model,
     foldwise_deltas,
     loglog_slope,
@@ -352,20 +352,21 @@ def test_run_cv_rejects_counts_below_one(monkeypatch):
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=3),
        st.integers(0, 14), st.sampled_from([0.1, 0.25, 0.5]))
 def test_run_cv_folds_are_feasible_or_rejected_up_front(counts, folds, holdout):
-    """Either `run_cv` raises `ValueError` before any fold runs, or every
-    outer test fold is non-empty and every inner training split keeps
-    every class. Folds are checked by rebuilding their split, not run."""
+    """Either `run_cv` rejects the folds with its own message before any
+    fold runs, or every split it passes to a fold has a non-empty test
+    fold, a training fold that is the rest, and an inner set that keeps
+    every class beside the holdout. Folds are checked, not run."""
     labels = np.repeat(np.arange(len(counts)), counts)
     graphs = [constant_graph(1.0)] * len(labels)
     ran = []
 
-    def check_fold(cache, labels, grid, config, dataset, folds, fold):
-        test_idx = folds[fold]
+    def check_fold(cache, labels, grid, config, dataset, fold, split):
+        test_idx, train_idx, inner_idx, held_idx, _ = split
         assert len(test_idx) > 0
-        train_idx = np.setdiff1d(np.arange(len(labels)), test_idx)
-        rng = np.random.default_rng([config.seed, fold])
-        inner_idx, _ = stratified_holdout(train_idx, labels, config.holdout,
-                                          rng)
+        assert np.array_equal(np.sort(np.concatenate([test_idx, train_idx])),
+                              np.arange(len(labels)))
+        assert np.array_equal(np.sort(np.concatenate([inner_idx, held_idx])),
+                              train_idx)
         assert set(labels[inner_idx].tolist()) == set(labels.tolist())
         ran.append(fold)
         return []
@@ -375,7 +376,10 @@ def test_run_cv_folds_are_feasible_or_rejected_up_front(counts, folds, holdout):
         try:
             run_cv(graphs, labels, [BASELINE],
                    quick_config(folds=folds, holdout=holdout, repeats=1))
-        except ValueError:
+        except ValueError as exc:
+            assert re.match(r"cannot split into \d+ stratified folds: |"
+                            r"class \d+ has only \d+ graphs: the holdout of "
+                            r"fold \d+ takes all", str(exc)), exc
             assert not ran
         else:
             assert ran == list(range(folds))
@@ -405,7 +409,8 @@ def test_run_cv_rejects_classes_the_holdout_empties():
     # 2 + 2 graphs in 2 folds: each training fold keeps one graph per
     # class, and the inner holdout takes it
     graphs, labels = separable_dataset(4)
-    with pytest.raises(ValueError, match="class 0 has only 2 graphs"):
+    with pytest.raises(ValueError, match="class 0 has only 2 graphs: the "
+                                         "holdout of fold 0 takes all 1 "):
         run_cv(graphs, labels, [BASELINE], quick_config(folds=2))
 
 
@@ -504,9 +509,11 @@ def test_random_regular_circulant_degrees():
     assert _random_regular_circulant(rng, 4, 4) is None  # d >= n
 
 
-def test_epoch_timing_rows_and_skips(monkeypatch, tmp_path):
-    rows = epoch_timing([8, 10], [2, 3], r=1, n_graphs=3, epochs=2, seed=0)
-    assert [(r.n, r.d) for r in rows] == [(8, 2), (8, 3), (10, 2), (10, 3)]
+def test_scaling_study_rows_csv_and_skips(monkeypatch, tmp_path):
+    rows_n, rows_d, _, _ = scaling_study([8, 10], [2, 3], fixed_n=10,
+                                         n_graphs=3, epochs=2, seed=0)
+    rows = rows_n + rows_d
+    assert [(r.n, r.d) for r in rows] == [(8, 2), (10, 2), (10, 2), (10, 3)]
     assert all(r.gamma > 0 and r.epoch_seconds > 0 for r in rows)
     path = tmp_path / "timing.csv"
     write_timing_csv(rows, path)
@@ -520,7 +527,7 @@ def test_epoch_timing_rows_and_skips(monkeypatch, tmp_path):
     # an infeasible cell raises before any cell trains, naming it
     with pytest.raises(ValueError, match=r"no d-regular circulant exists for "
                                          r"the sweep cells n=9 d=3$"):
-        epoch_timing([8, 9], [2, 3], r=1, n_graphs=3, epochs=2, seed=0)
+        scaling_study([8, 10], [2, 3], fixed_n=9, n_graphs=3, epochs=2, seed=0)
 
 
 def test_loglog_slope_recovers_exponent():
@@ -535,21 +542,47 @@ def test_loglog_slope_recovers_exponent():
         assert f"x={xs}, y={ys}" in str(err.value)
 
 
-def test_scaling_study_is_its_two_sweeps():
+def test_scaling_study_is_its_two_sweeps(monkeypatch):
+    # criterion 10's study with the steps stubbed out: every cell takes
+    # one warm-up step and then its epochs, and its cells (n, d, r, gamma)
+    # are pinned, since how a sweep is timed must not change what it times
+    steps = []
+    monkeypatch.setattr(bench, "_train_step", lambda *a: steps.append(a))
     rows_n, rows_d, slope_n, slope_d = scaling_study(
-        [8, 16, 32], [2, 4], fixed_n=16, n_graphs=3, epochs=2)
-    want_n = epoch_timing([8, 16, 32], [2], r=1, n_graphs=3, epochs=2)
-    want_d = epoch_timing([16], [2, 4], r=1, n_graphs=10, epochs=3)
-
-    def cells(rows):
-        return [(r.n, r.d, r.r, r.gamma) for r in rows]
-
-    assert cells(rows_n) == cells(want_n) and cells(rows_d) == cells(want_d)
-    # 32 / 10 keeps every n in the top decade
-    assert slope_n == loglog_slope([r.n for r in rows_n],
-                                   [r.epoch_seconds for r in rows_n])
+        [32, 64, 128, 256, 512], [2, 4, 8, 16], r=1, fixed_n=64, n_graphs=100,
+        epochs=7, seed=0)
+    assert len(steps) == 5 * (1 + 7) + 4 * (1 + 3)
+    assert [(r.n, r.d, r.r, r.gamma) for r in rows_n] == [
+        (32, 2, 1, 16000), (64, 2, 1, 32000), (128, 2, 1, 64000),
+        (256, 2, 1, 128000), (512, 2, 1, 256000)]
+    assert [(r.n, r.d, r.r, r.gamma) for r in rows_d] == [
+        (64, 2, 1, 16000), (64, 4, 1, 29376), (64, 8, 1, 61696),
+        (64, 16, 1, 186624)]
+    # 512 / 10 keeps n = 64 and above in the top decade
+    assert slope_n == loglog_slope([r.n for r in rows_n[1:]],
+                                   [r.epoch_seconds for r in rows_n[1:]])
     assert slope_d == loglog_slope([r.d for r in rows_d],
                                    [r.gamma for r in rows_d])
+
+
+def test_scaling_study_times_its_cells_round_robin(monkeypatch):
+    # a stub step advances a fake clock by a scripted time per call: the
+    # two size cells take their untimed warm-up steps, then alternate,
+    # and each row reads the median of its own cell's timed steps
+    now, batches = [0.0], []
+    script = iter([1000.0, 1000.0, 5.0, 2.0, 1.0, 2.0, 3.0, 9.0, 100.0, 2.0])
+
+    def step(spec, params, tensors, state, batch, y):
+        batches.append(batch)
+        now[0] += next(script, 1.0)
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(bench, "_train_step", step)
+    rows_n, _, _, _ = scaling_study([8, 16], [2, 4], fixed_n=8, n_graphs=2,
+                                    epochs=4)
+    first, second = batches[:2]
+    assert first is not second
+    assert all(b is (first, second)[k % 2] for k, b in enumerate(batches[:10]))
+    assert [r.epoch_seconds for r in rows_n] == [4.0, 2.0]
 
 
 @pytest.mark.parametrize("n_list,d_list,fixed_n", [
@@ -639,6 +672,32 @@ def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
                      *CLI_BASE["cv"], *flags, "--out", str(out)]) == 0
         tables.append(_without_seconds(read_results_csv(out)))
     assert len(tables[0]) == 2 and tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("grid,message", [
+    (None, "No such file or directory"),
+    ("layer=wl2,T\n", "malformed spec field 'T'"),
+    ("# no specs\n\n", "empty model grid"),
+    ("layer=wl2,pool=min\n", "min pooling is a demonstration mode"),
+    ("layer=wl2,d=x\n", "spec field d must be int, got 'x'"),
+], ids=["missing", "malformed", "empty", "min-pool", "bad-value"])
+def test_cli_cv_checks_the_grid_before_the_dataset(tmp_path, capsys,
+                                                    monkeypatch, grid,
+                                                    message):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated the dataset before reading the grid")
+    monkeypatch.setattr(cli, "generate_triangle_dataset", no_generation)
+    path = tmp_path / "grid.txt"
+    if grid is not None:
+        path.write_text(grid)
+    out = tmp_path / "out.csv"
+    code = main(["cv", "--triangle-seed", "7", "--grid-file", str(path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -93,6 +93,15 @@ def test_edge_features_follow_canonical_order():
     assert g.edge_features[1, 0] == 5.0
 
 
+def test_feature_matrices_need_one_row_per_vertex_or_edge():
+    with pytest.raises(GraphError, match=r"edge_features must be a \(2, d\) "
+                       r"matrix, got shape \(3, 1\)"):
+        Graph(3, ((2, 1), (1, 0)), edge_features=np.zeros((3, 1)))
+    with pytest.raises(GraphError, match=r"vertex_features must be a \(3, d\) "
+                       r"matrix, got shape \(2, 1\)"):
+        Graph(3, ((0, 1),), vertex_features=np.zeros((2, 1)))
+
+
 def test_vertex_labels_length_checked():
     with pytest.raises(GraphError):
         Graph(3, (), vertex_labels=(0, 1))

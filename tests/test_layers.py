@@ -344,6 +344,18 @@ def test_parse_model_spec_takes_model_spec_defaults():
     assert parse_model_spec("d=8,t=2,T=5") == ModelSpec(t=5, d=8)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("d=x", "spec field d must be int, got 'x'"),
+    ("T=2.5", "spec field T must be int, got '2.5'"),
+    ("lr=fast", "spec field lr must be float, got 'fast'"),
+    ("r=", "spec field r must be int, got ''"),
+])
+def test_parse_model_spec_names_the_field_it_cannot_read(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_model_spec(f"layer=wl2,{text}")
+    assert str(err.value) == message
+
+
 def test_parse_model_spec_rejects_unknown_key():
     # the head always has one hidden layer of width d, so head= is unknown
     for field in ("x=1", "head=8-4"):
