@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .graphs import circulant_graph
-from .layers import (FAMILIES, ModelSpec, combine_units, format_model_spec,
+from .layers import (ModelSpec, combine_units, format_model_spec,
                      forward_model, init_model_params, input_width,
                      prepare_units, validate_model_spec)
 
@@ -213,7 +213,7 @@ def train_model(spec, units, labels, config, seed,
 
 def _unit_key(spec):
     """Specs with the same key share their prepared units."""
-    return spec.layer, spec.r if FAMILIES[spec.layer].uses_radius else 1
+    return spec.layer, spec.r
 
 
 def _unit_cache(grid, graphs):
@@ -519,8 +519,9 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     (about linear), and gamma against d over `d_list` at `fixed_n`
     (bounded by d^{2r}); that sweep needs only gamma, so it runs half the
     graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
-    slope in n, slope in d). Bad counts, empty lists and cells without a
-    d-regular circulant raise `ValueError` before either sweep runs."""
+    slope in n, slope in d). Bad counts, empty lists, cells without a
+    d-regular circulant and lists that leave a fit fewer than two distinct
+    x raise `ValueError` before either sweep runs."""
     spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
     _require_positive(n_graphs=n_graphs, epochs=epochs)
     for name, values in (("n_list", n_list), ("d_list", d_list)):
@@ -533,8 +534,16 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     if infeasible:
         raise ValueError("no d-regular circulant exists for the sweep cells "
                          + ", ".join(infeasible))
+    # the slope in n is fitted over the top decade of sizes
+    top_n = [n for n in n_list if n >= max(n_list) / 10]
+    for name, values, what, xs in (
+            ("n_list", n_list, "sizes of at least max/10", top_n),
+            ("d_list", d_list, "degrees", d_list)):
+        if len(set(xs)) < 2:
+            raise ValueError(f"{name}={list(values)} has fewer than two "
+                             f"distinct {what} to fit a slope to")
     rows_n = _sweep_rows(spec, size_cells, n_graphs, epochs, seed)
-    top = [row for row in rows_n if row.n >= max(x.n for x in rows_n) / 10]
+    top = [row for row in rows_n if row.n in top_n]
     slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
     rows_d = _sweep_rows(spec, degree_cells, max(10, n_graphs // 2), 3, seed)
     slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])

@@ -1,8 +1,7 @@
 """Command line entry point, the one front end of the paper's experiments.
 
 Subcommands:
-  cv            cross-validated benchmark on a TU dataset or the
-                triangle dataset
+  cv            cross-validated benchmark on a TU dataset directory
   triangle      triangle detection: pair convolutions against GIN and a
                 structure-blind baseline
   timing        scaling study: epoch time against n, gamma against d
@@ -18,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,9 +25,10 @@ from .bench import (DEFAULT_RADII, TrainConfig, check_grid, foldwise_deltas,
                     triangle_experiment, write_timing_csv)
 from .graphs import GraphError, TriangleConfig, generate_triangle_dataset, \
     load_tu_dataset, save_tu_dataset
-from .layers import FAMILIES, parse_model_spec
+from .layers import parse_model_spec
 
-DEFAULT_GRID = ("layer=wl2,T=3,d=32,r=1,pool=mean,act=logistic,lr=0.001",)
+# the one spec `cv` runs without a grid file, at the dataset's radius
+DEFAULT_GRID = "layer=wl2,T=3,d=32,r={r},pool=mean,act=logistic,lr=0.001"
 
 
 def _print_warnings(warnings):
@@ -37,41 +36,27 @@ def _print_warnings(warnings):
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _load_dataset(args):
-    if args.triangle_seed is None:
-        return load_tu_dataset(args.dataset)
-    graphs, labels, warnings = generate_triangle_dataset(args.triangle_seed)
-    _print_warnings(warnings)
-    return graphs, labels
-
-
-def _dataset_flags(sub):
-    sub.add_argument("--dataset", help="directory with a TU-format dataset")
-    sub.add_argument("--triangle-seed", type=int, default=None,
-                     help="generate the triangle dataset with this seed")
+def _check_out_dir(path):
+    """Fails before any work when `path` could not be written at the end."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"cannot write {path}: directory {directory} does "
+                         "not exist")
 
 
 def _cmd_cv(args):
-    # the grid is read and checked before the dataset is loaded or generated
-    if args.triangle_seed is not None:
-        name = "TRIANGLE"
-    elif args.dataset is None:
-        raise GraphError("need --dataset DIR or --triangle-seed N")
-    else:
-        name = os.path.basename(args.dataset.rstrip("/"))
-    radius = DEFAULT_RADII.get(name) if args.radius is None else args.radius
+    # the output directory and the grid are checked before the dataset
+    # is loaded
+    _check_out_dir(args.out)
+    name = os.path.basename(args.dataset.rstrip("/"))
     if args.grid_file:
         with open(args.grid_file) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()
                      and not ln.lstrip().startswith("#")]
     else:
-        lines = list(DEFAULT_GRID)
-    grid = [parse_model_spec(ln) for ln in lines]
-    if radius is not None:
-        grid = [replace(s, r=radius) if FAMILIES[s.layer].uses_radius else s
-                for s in grid]
-    grid = check_grid(grid)
-    graphs, labels = _load_dataset(args)
+        lines = [DEFAULT_GRID.format(r=DEFAULT_RADII.get(name, 1))]
+    grid = check_grid([parse_model_spec(ln) for ln in lines])
+    graphs, labels = load_tu_dataset(args.dataset)
     config = TrainConfig(epochs=args.epochs, patience=args.patience,
                          batch_size=args.batch_size, seed=args.seed,
                          folds=args.folds, repeats=args.repeats,
@@ -119,6 +104,8 @@ def _cmd_triangle(args):
 
 
 def _cmd_timing(args):
+    if args.out:
+        _check_out_dir(args.out)
     rows_n, rows_d, slope_n, slope_d = scaling_study(
         _parse_int_list("--n-values", args.n_values),
         _parse_int_list("--d-values", args.d_values),
@@ -163,9 +150,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cv", help="cross-validated benchmark")
-    _dataset_flags(p)
+    p.add_argument("--dataset", required=True,
+                   help="directory with a TU-format dataset")
     p.add_argument("--grid-file", help="file with one model spec per line")
-    p.add_argument("--radius", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
@@ -218,10 +205,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         # seeds feed numpy generators, which take no negative entropy
-        for name in ("seed", "triangle_seed"):
-            if (value := getattr(args, name, None)) is not None and value < 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be a "
-                                 f"non-negative integer, got {value}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got "
+                             f"{args.seed}")
         return args.fn(args)
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

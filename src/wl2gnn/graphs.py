@@ -446,6 +446,10 @@ def _parse_floats(path):
             raise GraphError(f"{path}:{lineno}: expected floats, got {line!r}")
         if not np.isfinite(row).all():
             raise GraphError(f"{path}:{lineno}: non-finite value in {line!r}")
+        # every row is as wide as the first
+        if rows and len(row) != len(rows[0]):
+            raise GraphError(f"{path}:{lineno}: expected {len(rows[0])} "
+                             f"fields, got {len(row)}")
         rows.append(row)
     return rows
 

@@ -25,9 +25,8 @@ is units joined in one `stack_units` offset pass. Both carry the fields
 `n_graphs`: `wl2` batches are encodings, whose `rows` stay graph-local,
 and the others `VertexBatch`es that add directed neighbour pairs, over
 vertices or (`gnn2`) the radius-1 encoding's rows. A new family provides
-a five-field `Family` record: unit preparation for a graph list,
-batching, one conv layer's parameters and forward step, and whether the
-power radius `r` changes its units.
+a four-field `Family` record: unit preparation for a graph list,
+batching, and one conv layer's parameters and forward step.
 """
 
 from __future__ import annotations
@@ -449,7 +448,6 @@ class Family:
     combine: Callable     # units -> batch
     init: Callable        # (spec, d_in, d_out, rng) -> one conv's parameters
     conv: Callable        # (batch, rows, conv parameters) -> next rows
-    uses_radius: bool = False  # whether spec.r changes the units
 
 
 # the lambdas around encode_all, edge_batch_units, combine_encodings and
@@ -460,8 +458,7 @@ FAMILIES = {
                   combine=lambda units: combine_encodings(units),
                   init=lambda spec, d_in, d_out, rng: Wl2LayerParams(
                       *_glorot(rng, d_in, d_out, 3), spec.act, spec.act),
-                  conv=lambda enc, z, params: wl2_conv(enc, z, params),
-                  uses_radius=True),
+                  conv=lambda enc, z, params: wl2_conv(enc, z, params)),
     "gin": Family(prepare=lambda spec, graphs: vertex_units(graphs),
                   combine=combine_vertex_batches,
                   init=lambda spec, d_in, d_out, rng: GinLayerParams(

@@ -1,6 +1,7 @@
 import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,7 +32,8 @@ from wl2gnn.bench import (
 )
 from wl2gnn.cli import DEFAULT_GRID, build_parser, main
 from wl2gnn.graphs import Graph, GraphError, save_tu_dataset
-from wl2gnn.layers import ModelSpec, init_model_params, input_width, prepare_units
+from wl2gnn.layers import (ModelSpec, format_model_spec, init_model_params,
+                           input_width, parse_model_spec, prepare_units)
 
 
 def constant_graph(value, n=3):
@@ -443,21 +445,22 @@ def test_run_cv_rejects_mixed_feature_widths_before_the_folds(layer,
                quick_config(folds=2))
 
 
-def test_cli_cv_names_the_graph_whose_feature_width_differs(tmp_path, capsys):
+def test_cli_cv_names_the_line_whose_attribute_width_differs(tmp_path,
+                                                              capsys):
     graphs, labels = separable_dataset(12)
     save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
-    # node attributes one wide, except two wide on graph 3's vertices
+    # node attributes one wide, except two wide on graph 3's vertices,
+    # which start on line 3 + 4 + 5 + 1
     rows = [("1.0, 2.0" if k == 3 else "1.0")
             for k, g in enumerate(graphs) for _ in range(g.n)]
-    (tmp_path / "TOY" / "TOY_node_attributes.txt").write_text(
-        "\n".join(rows) + "\n")
+    attrs = tmp_path / "TOY" / "TOY_node_attributes.txt"
+    attrs.write_text("\n".join(rows) + "\n")
     out = tmp_path / "out.csv"
     code = main(["cv", "--dataset", str(tmp_path / "TOY"), *CLI_BASE["cv"],
                  "--out", str(out)])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: graph 3 ")
-    assert "(2, 0), graph 0 has (1, 0)" in err[0]
+    assert err == [f"error: {attrs}:13: expected 1 fields, got 2"]
     assert not out.exists()
 
 
@@ -646,25 +649,13 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
     assert not out.exists()
 
 
-def test_cli_cv_rejects_radius_zero_over_the_default_radius(tmp_path, capsys):
-    # TRIANGLE has a default radius, which an explicit 0 must not fall back to
-    graphs, labels = separable_dataset(16)
-    save_tu_dataset(graphs, labels, tmp_path / "TRIANGLE", "TRIANGLE")
-    out = tmp_path / "out.csv"
-    code = main(["cv", "--dataset", str(tmp_path / "TRIANGLE"),
-                 *CLI_BASE["cv"], "--radius", "0", "--out", str(out)])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "t, d and r must be positive" in err[0]
-    assert not out.exists()
-
-
 def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
+    # TOY has no default radius, so the default spec runs at r=1
     graphs, labels = separable_dataset(12)
     save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
     grid = tmp_path / "grid.txt"
-    grid.write_text(f"{DEFAULT_GRID[0]}\n{DEFAULT_GRID[0]}\n")
+    spec = DEFAULT_GRID.format(r=1)
+    grid.write_text(f"{spec}\n{spec}\n")
     tables = []
     for name, flags in (("one", []), ("two", ["--grid-file", str(grid)])):
         out = tmp_path / f"{name}.csv"
@@ -674,25 +665,70 @@ def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
     assert len(tables[0]) == 2 and tables[0] == tables[1]
 
 
+def test_cli_cv_runs_each_spec_at_the_radius_it_states(tmp_path):
+    # DD's default radius is 2: it sets the default spec's r, and no
+    # grid line's
+    graphs, labels = separable_dataset(12)
+    for name in ("DD", "TOY"):
+        save_tu_dataset(graphs, labels, tmp_path / name, name)
+    grid = tmp_path / "grid.txt"
+    lines = [f"layer=wl2,T=1,d=4,r={r},pool=mean,act=relu,lr=0.01"
+             for r in (1, 3)]
+    grid.write_text("\n".join(lines) + "\n")
+
+    def models(name, *flags):
+        out = tmp_path / f"{name}-{len(flags)}.csv"
+        assert main(["cv", "--dataset", str(tmp_path / name), *CLI_BASE["cv"],
+                     *flags, "--out", str(out)]) == 0
+        return {row.model for row in read_results_csv(out)}
+
+    stated = {format_model_spec(parse_model_spec(ln)) for ln in lines}
+    assert models("DD", "--grid-file", str(grid)) <= stated
+    for name, r in (("DD", 2), ("TOY", 1)):
+        assert models(name) == {
+            format_model_spec(parse_model_spec(DEFAULT_GRID.format(r=r)))}
+
+
+@pytest.mark.parametrize("command", ["cv", "timing"])
+def test_cli_checks_the_out_directory_before_it_runs(tmp_path, capsys,
+                                                      monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+    for module, name in ((cli, "load_tu_dataset"), (bench, "train_model"),
+                         (bench, "_train_step")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "missing" / "out.csv"
+    dataset = ["--dataset", str(tmp_path / "TOY")] if command == "cv" else []
+    code = main([command, *dataset, *CLI_BASE[command], "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == [f"error: cannot write {out}: directory {out.parent} does "
+                   "not exist"]
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("grid,message", [
     (None, "No such file or directory"),
     ("layer=wl2,T\n", "malformed spec field 'T'"),
     ("# no specs\n\n", "empty model grid"),
     ("layer=wl2,pool=min\n", "min pooling is a demonstration mode"),
     ("layer=wl2,d=x\n", "spec field d must be int, got 'x'"),
-], ids=["missing", "malformed", "empty", "min-pool", "bad-value"])
+    ("layer=wl2,r=0\n", "t, d and r must be positive"),
+], ids=["missing", "malformed", "empty", "min-pool", "bad-value",
+        "radius-zero"])
 def test_cli_cv_checks_the_grid_before_the_dataset(tmp_path, capsys,
                                                     monkeypatch, grid,
                                                     message):
-    def no_generation(*args, **kwargs):
-        raise AssertionError("generated the dataset before reading the grid")
-    monkeypatch.setattr(cli, "generate_triangle_dataset", no_generation)
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the dataset before reading the grid")
+    monkeypatch.setattr(cli, "load_tu_dataset", no_loading)
     path = tmp_path / "grid.txt"
     if grid is not None:
         path.write_text(grid)
     out = tmp_path / "out.csv"
-    code = main(["cv", "--triangle-seed", "7", "--grid-file", str(path),
-                 "--out", str(out)])
+    # TRIANGLE has a default radius, which a grid's r=0 must not fall back to
+    code = main(["cv", "--dataset", str(tmp_path / "TRIANGLE"),
+                 "--grid-file", str(path), "--out", str(out)])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -703,7 +739,13 @@ def test_cli_cv_checks_the_grid_before_the_dataset(tmp_path, capsys,
 @pytest.mark.parametrize("flags,message", [
     (["--n-values", ","], "n_list is empty"),
     (["--d-values", ","], "d_list is empty"),
-], ids=["n-empty", "d-empty"])
+    (["--n-values", "32,512"], "n_list=[32, 512] has fewer than two distinct "
+                               "sizes of at least max/10 to fit a slope to"),
+    (["--n-values", "64,64"], "n_list=[64, 64] has fewer than two distinct "
+                              "sizes of at least max/10"),
+    (["--n-values", "8,16", "--d-values", "4"],
+     "d_list=[4] has fewer than two distinct degrees to fit a slope to"),
+], ids=["n-empty", "d-empty", "n-one-decade-point", "n-repeated", "d-one"])
 def test_cli_timing_rejects_empty_or_radius_blind_sweeps(tmp_path, capsys,
                                                          monkeypatch, flags,
                                                          message):
@@ -776,26 +818,45 @@ def test_timing_sweep_runs_end_to_end(tmp_path):
 
 @pytest.mark.parametrize("command,flags,message", [
     ("timing", ["--n-values", "16", "--graphs", "3", "--epochs", "1"],
-     "cannot fit a log-log slope to x=[16.0]"),
+     "n_list=[16] has fewer than two distinct sizes of at least max/10"),
     ("triangle", ["--seed", "-1"],
      "--seed must be a non-negative integer, got -1"),
     ("timing", ["--n-values", "8,x"],
      "--n-values takes comma separated integers, got '8,x'"),
     ("timing", ["--d-values", "2.5"],
      "--d-values takes comma separated integers, got '2.5'"),
-    ("cv", ["--triangle-seed", "-1", "--out", "unused.csv"],
-     "--triangle-seed must be a non-negative integer, got -1"),
+    ("cv", ["--dataset", "unused", "--seed", "-1", "--out", "unused.csv"],
+     "--seed must be a non-negative integer, got -1"),
     ("timing", ["--fixed-n", "0", "--n-values", "8,16", "--d-values", "2,4",
                 "--graphs", "3", "--epochs", "1"],
      "no d-regular circulant exists for the sweep cells n=0 d=2, n=0 d=4"),
 ], ids=["timing-one-point", "triangle-negative-seed", "timing-bad-n-value",
-        "timing-bad-d-value", "cv-negative-triangle-seed",
+        "timing-bad-d-value", "cv-negative-seed",
         "timing-infeasible-cells"])
 def test_cli_experiments_reject_bad_input(capsys, command, flags, message):
     assert main([command, *flags]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert message in err[0]
+
+
+def test_readme_command_lines_parse():
+    # every `wl2gnn` line of README's code blocks, less its trailing
+    # comment, is a command line the parser takes
+    root = Path(__file__).resolve().parents[1]
+    fenced, commands = False, []
+    for line in (root / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("wl2gnn "):
+            commands.append(line)
+    assert len(commands) >= 5
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def _subcommands():

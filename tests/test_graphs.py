@@ -514,6 +514,22 @@ def test_tu_rejects_non_finite_attribute(tmp_path):
     assert "TOY_node_attributes.txt:3" in str(err.value)
 
 
+@pytest.mark.parametrize("kind,text,line,widths", [
+    ("node", "0.5, 1\n1.0, 2\n3.0\n2.0, 1\n-1.0, 0\n", 3, (2, 1)),
+    ("edge", "1\n1\n1\n1, 2\n1\n1\n", 4, (1, 2)),
+], ids=["node", "edge"])
+def test_tu_rejects_ragged_attribute_rows(tmp_path, kind, text, line, widths):
+    # the short or long row sits inside one graph, where numpy would
+    # otherwise fail on an inhomogeneous shape that names no file
+    d = write_toy_tu(tmp_path)
+    path = d / f"TOY_{kind}_attributes.txt"
+    path.write_text(text)
+    with pytest.raises(GraphError) as err:
+        load_tu_dataset(d)
+    assert str(err.value) == (f"{path}:{line}: expected {widths[0]} fields, "
+                              f"got {widths[1]}")
+
+
 def test_tu_accepts_any_two_label_values(tmp_path):
     d = write_toy_tu(tmp_path)
     (d / "TOY_graph_labels.txt").write_text("7\n3\n")
