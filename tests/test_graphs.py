@@ -544,3 +544,82 @@ def test_tu_rejects_three_classes(tmp_path):
     (d / "TOY_A.txt").write_text("1, 2\n2, 1\n2, 3\n3, 2\n")
     with pytest.raises(GraphError):
         load_tu_dataset(d)
+
+
+def write_full_tu(root, name="FULL"):
+    """A TU directory with every optional file: node labels with gaps,
+    two-wide node and edge attributes, edges listed once or twice (the
+    second line with other values, out of graph order), an edgeless
+    graph and graph labels -1 and 1."""
+    d = root / name
+    d.mkdir()
+    files = {
+        "graph_indicator": "1\n1\n1\n2\n2\n3\n3\n3\n",
+        "graph_labels": "-1\n1\n-1\n",
+        "A": "8, 6\n1, 2\n3, 2\n2, 1\n7, 8\n6, 8\n",
+        "edge_attributes": "0.5, 6.0\n1.0, 2.0\n3.0, 4.0\n9.0, 9.0\n"
+                           "7.0, 8.0\n-1.0, -1.0\n",
+        "node_labels": "5\n2\n9\n9\n5\n2\n2\n9\n",
+        "node_attributes": "".join(f"0.{k}, {k}.0\n" for k in range(1, 9)),
+    }
+    for kind, text in files.items():
+        (d / f"{name}_{kind}.txt").write_text(text)
+    return d
+
+
+def test_tu_loader_pins_every_optional_file(tmp_path):
+    graphs, labels = load_tu_dataset(write_full_tu(tmp_path))
+    # one-hot over the sorted label values (2, 5, 9), then the attributes;
+    # an edge keeps the attributes of the first line that lists it
+    want = [
+        (3, ((0, 1), (1, 2)), (5, 2, 9),
+         [[0, 1, 0, 0.1, 1], [1, 0, 0, 0.2, 2], [0, 0, 1, 0.3, 3]],
+         [[1, 2], [3, 4]]),
+        (2, (), (9, 5),
+         [[0, 0, 1, 0.4, 4], [0, 1, 0, 0.5, 5]],
+         np.zeros((0, 2))),
+        (3, ((0, 2), (1, 2)), (2, 2, 9),
+         [[1, 0, 0, 0.6, 6], [1, 0, 0, 0.7, 7], [0, 0, 1, 0.8, 8]],
+         [[0.5, 6], [7, 8]]),
+    ]
+    assert len(graphs) == len(want)
+    for g, (n, edges, vertex_labels, vf, ef) in zip(graphs, want):
+        assert (g.n, g.edges, g.vertex_labels) == (n, edges, vertex_labels)
+        np.testing.assert_array_equal(g.vertex_features, np.asarray(vf, float))
+        assert g.edge_features.shape == np.shape(ef)
+        np.testing.assert_array_equal(g.edge_features, np.asarray(ef, float))
+    assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("files,file,message", [
+    ({"graph_indicator": "1\n1\n1\n3\n3\n"}, "graph_indicator",
+     ": graph ids not contiguous"),
+    ({"graph_labels": "1\n-1\n1\n"}, "graph_labels", ": 3 labels for 2 graphs"),
+    ({"graph_indicator": "1\n1\n1\n2\n3\n", "graph_labels": "1\n2\n3\n"},
+     "graph_labels", ": need exactly 2 classes, found [1, 2, 3]"),
+    ({"A": "1, 2\n2, 6\n"}, "A", ":2: vertex id out of range"),
+    ({"A": "1, 2\n0, 1\n"}, "A", ":2: vertex id out of range"),
+    ({"A": "1, 2\n3, 3\n"}, "A", ":2: self-loop on vertex 3"),
+    ({"A": "1, 2\n\n5, 2\n"}, "A", ":3: edge crosses graphs 2 and 1"),
+    ({"A": "1, 2\n3, 3\n1, 9\n"}, "A", ":2: self-loop on vertex 3"),
+    ({"A": "1, 2\n4, 0\n"}, "A", ":2: vertex id out of range"),
+    ({"A": "1, 2\n9, 9\n"}, "A", ":2: vertex id out of range"),
+    ({"A": "1, 2\n3, 3\n", "edge_attributes": "1\n"}, "edge_attributes",
+     ": 1 rows for 2 edges"),
+    ({"edge_attributes": "1\n1\n"}, "edge_attributes", ": 2 rows for 6 edges"),
+    ({"node_labels": "0\n1\n0\n1\n"}, "node_labels",
+     ": 4 labels for 5 vertices"),
+    ({"node_attributes": "0.5\n1.0\n"}, "node_attributes",
+     ": 2 rows for 5 vertices"),
+], ids=["ids-not-contiguous", "label-count", "three-classes", "id-too-large",
+        "id-zero", "self-loop", "cross-graph", "first-bad-line-wins",
+        "range-before-cross", "range-before-self-loop",
+        "edge-attr-count-before-edges", "edge-attr-count", "node-label-count",
+        "node-attr-count"])
+def test_tu_names_each_malformed_file(tmp_path, files, file, message):
+    d = write_toy_tu(tmp_path)
+    for kind, text in files.items():
+        (d / f"TOY_{kind}.txt").write_text(text)
+    with pytest.raises(GraphError) as err:
+        load_tu_dataset(d)
+    assert str(err.value) == f"{d / f'TOY_{file}.txt'}{message}"
