@@ -42,6 +42,8 @@ def _check_out_dir(path):
     if not os.path.isdir(directory):
         raise ValueError(f"cannot write {path}: directory {directory} does "
                          "not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
 
 
 def _cmd_cv(args):
@@ -135,9 +137,11 @@ def _cmd_deltas(args):
 
 
 def _cmd_gen_triangle(args):
+    # a path that cannot be a directory fails before the generation
+    out_dir = os.path.join(args.out_dir, args.name)
+    os.makedirs(out_dir, exist_ok=True)
     graphs, labels, warnings = generate_triangle_dataset(args.seed)
     _print_warnings(warnings)
-    out_dir = os.path.join(args.out_dir, args.name)
     save_tu_dataset(graphs, labels, out_dir, args.name)
     n_mean = sum(g.n for g in graphs) / len(graphs)
     print(f"{len(graphs)} graphs (mean size {n_mean:.1f}, "

@@ -16,6 +16,7 @@ an accepted draw.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -411,47 +412,40 @@ def generate_triangle_dataset(seed, config=None):
 # TU-format dataset interchange
 
 
-def _read_lines(path):
+def _parse_table(path, kind, width=None):
+    """Line numbers of the non-blank lines of a comma or space separated
+    file of `kind` (int or float) values, and a (rows, width) array of
+    them; `width` defaults to the first row's."""
     try:
         with open(path) as fh:
-            return fh.read().splitlines()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_ints(path, expected_fields=None):
-    rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    linenos, values = [], []
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            fields = [int(x) for x in line.replace(",", " ").split()]
+            row = [kind(x) for x in line.replace(",", " ").split()]
         except ValueError:
-            raise GraphError(f"{path}:{lineno}: expected integers, got {line!r}")
-        if expected_fields is not None and len(fields) != expected_fields:
-            raise GraphError(f"{path}:{lineno}: expected {expected_fields} "
-                             f"fields, got {len(fields)}")
-        rows.append((lineno, fields))
-    return rows
-
-
-def _parse_floats(path):
-    rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(x) for x in line.replace(",", " ").split()]
-        except ValueError:
-            raise GraphError(f"{path}:{lineno}: expected floats, got {line!r}")
-        if not np.isfinite(row).all():
+            raise GraphError(f"{path}:{lineno}: expected "
+                             f"{'integers' if kind is int else 'floats'}, "
+                             f"got {line!r}") from None
+        if kind is float and not all(map(math.isfinite, row)):
             raise GraphError(f"{path}:{lineno}: non-finite value in {line!r}")
-        # every row is as wide as the first
-        if rows and len(row) != len(rows[0]):
-            raise GraphError(f"{path}:{lineno}: expected {len(rows[0])} "
-                             f"fields, got {len(row)}")
-        rows.append(row)
-    return rows
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise GraphError(f"{path}:{lineno}: expected {width} fields, "
+                             f"got {len(row)}")
+        linenos.append(lineno)
+        values.extend(row)
+    try:
+        table = np.array(values, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:
+        k = next(k for k, x in enumerate(values) if not -2**63 <= x < 2**63)
+        raise GraphError(f"{path}:{linenos[k // width]}: integer outside "
+                         "the int64 range") from None
+    return linenos, table.reshape(len(linenos), width or 0)
 
 
 def load_tu_dataset(path):
@@ -461,110 +455,103 @@ def load_tu_dataset(path):
     <name>_graph_labels.txt, with vertex ids 1-indexed; optional
     node labels (one-hot encoded), node attributes and edge attributes.
     Each graph's vertices must be consecutive lines of the indicator
-    file, in graph order. Returns (graphs, labels) with labels remapped
-    to {0, 1}.
+    file, in graph order. An edge listed more than once takes the
+    attributes of its first line. Returns (graphs, labels) with labels
+    remapped to {0, 1}.
     """
     path = os.path.abspath(path)
     name = os.path.basename(path.rstrip("/"))
     prefix = os.path.join(path, name)
 
-    indicator = _parse_ints(f"{prefix}_graph_indicator.txt", 1)
-    n_total = len(indicator)
-    graph_of = np.empty(n_total, dtype=np.int64)
-    for k, (lineno, (gid,)) in enumerate(indicator):
-        graph_of[k] = gid - 1
+    indicator_lines, indicator = _parse_table(
+        f"{prefix}_graph_indicator.txt", int, 1)
+    graph_of = indicator[:, 0] - 1
+    n_total = len(graph_of)
     n_graphs = int(graph_of.max()) + 1 if n_total else 0
-    if n_total and sorted(set(graph_of.tolist())) != list(range(n_graphs)):
+    if n_total and not np.array_equal(np.unique(graph_of), np.arange(n_graphs)):
         raise GraphError(f"{prefix}_graph_indicator.txt: graph ids not contiguous")
-    # local vertex ids below come from cumulative counts, which holds
-    # only while each graph's vertices form one block in graph order
+    # local vertex ids below are offsets into each graph's block of
+    # vertices, which holds only while the blocks come in graph order
     back = np.flatnonzero(np.diff(graph_of) < 0)
     if back.size:
         k = int(back[0]) + 1
-        raise GraphError(f"{prefix}_graph_indicator.txt:{indicator[k][0]}: "
+        raise GraphError(f"{prefix}_graph_indicator.txt:{indicator_lines[k]}: "
                          f"vertex of graph {graph_of[k] + 1} after one of "
                          f"graph {graph_of[k - 1] + 1}; each graph's vertices "
                          "must be consecutive and in graph order")
 
-    label_rows = _parse_ints(f"{prefix}_graph_labels.txt", 1)
-    if len(label_rows) != n_graphs:
-        raise GraphError(f"{prefix}_graph_labels.txt: {len(label_rows)} labels "
+    _, raw_labels = _parse_table(f"{prefix}_graph_labels.txt", int, 1)
+    if len(raw_labels) != n_graphs:
+        raise GraphError(f"{prefix}_graph_labels.txt: {len(raw_labels)} labels "
                          f"for {n_graphs} graphs")
-    raw_labels = [fields[0] for _, fields in label_rows]
-    distinct = sorted(set(raw_labels))
+    distinct, labels = np.unique(raw_labels[:, 0], return_inverse=True)
     if len(distinct) != 2:
         raise GraphError(f"{prefix}_graph_labels.txt: need exactly 2 classes, "
-                         f"found {distinct}")
-    labels = np.asarray([distinct.index(x) for x in raw_labels], dtype=np.int64)
+                         f"found {distinct.tolist()}")
 
-    # vertex ids local to each graph, in file order
-    counts = np.bincount(graph_of, minlength=n_graphs)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    edge_rows = _parse_ints(f"{prefix}_A.txt", 2)
-    per_graph_edges = [set() for _ in range(n_graphs)]
-    edge_attr_of = {}
+    edge_lines, uv = _parse_table(f"{prefix}_A.txt", int, 2)
     attr_path = f"{prefix}_edge_attributes.txt"
-    edge_attrs = _parse_floats(attr_path) if os.path.exists(attr_path) else None
-    if edge_attrs is not None and len(edge_attrs) != len(edge_rows):
-        raise GraphError(f"{attr_path}: {len(edge_attrs)} rows for "
-                         f"{len(edge_rows)} edges")
-    for k, (lineno, (u, v)) in enumerate(edge_rows):
-        if not (1 <= u <= n_total and 1 <= v <= n_total):
-            raise GraphError(f"{prefix}_A.txt:{lineno}: vertex id out of range")
-        gu, gv = graph_of[u - 1], graph_of[v - 1]
-        if gu != gv:
-            raise GraphError(f"{prefix}_A.txt:{lineno}: edge crosses graphs "
-                             f"{gu + 1} and {gv + 1}")
-        if u == v:
-            raise GraphError(f"{prefix}_A.txt:{lineno}: self-loop on vertex {u}")
-        a = int(u - 1 - starts[gu])
-        b = int(v - 1 - starts[gu])
-        key = (min(a, b), max(a, b))
-        per_graph_edges[gu].add(key)
-        if edge_attrs is not None and (gu, key) not in edge_attr_of:
-            edge_attr_of[(gu, key)] = edge_attrs[k]
+    edge_attrs = None
+    if os.path.exists(attr_path):
+        _, edge_attrs = _parse_table(attr_path, float)
+        if len(edge_attrs) != len(uv):
+            raise GraphError(f"{attr_path}: {len(edge_attrs)} rows for "
+                             f"{len(uv)} edges")
+    # the first bad line wins; on it, a vertex id out of range comes
+    # before a cross-graph edge, which comes before a self-loop
+    in_range = ((uv >= 1) & (uv <= n_total)).all(axis=1)
+    ends = np.where(in_range[:, None], uv - 1, 0)
+    graph_uv = graph_of[ends]
+    crosses = graph_uv[:, 0] != graph_uv[:, 1]
+    bad = np.flatnonzero(~in_range | crosses | (ends[:, 0] == ends[:, 1]))
+    if bad.size:
+        k = bad[0]
+        where = f"{prefix}_A.txt:{edge_lines[k]}"
+        if not in_range[k]:
+            raise GraphError(f"{where}: vertex id out of range")
+        if crosses[k]:
+            raise GraphError(f"{where}: edge crosses graphs "
+                             f"{graph_uv[k, 0] + 1} and {graph_uv[k, 1] + 1}")
+        raise GraphError(f"{where}: self-loop on vertex {uv[k, 0]}")
+    # each undirected edge once, in (graph, i, j) order, with the index
+    # of the first line that lists it
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    _, first = np.unique(lo * n_total + hi, return_index=True)
 
+    blocks, vertex_labels = [], None
     node_label_path = f"{prefix}_node_labels.txt"
-    node_labels = None
     if os.path.exists(node_label_path):
-        rows = _parse_ints(node_label_path, 1)
-        if len(rows) != n_total:
-            raise GraphError(f"{node_label_path}: {len(rows)} labels for "
-                             f"{n_total} vertices")
-        node_labels = [fields[0] for _, fields in rows]
-        label_values = sorted(set(node_labels))
+        _, node_labels = _parse_table(node_label_path, int, 1)
+        if len(node_labels) != n_total:
+            raise GraphError(f"{node_label_path}: {len(node_labels)} labels "
+                             f"for {n_total} vertices")
+        _, column = np.unique(node_labels[:, 0], return_inverse=True)
+        blocks.append(np.eye(column.max() + 1)[column])
+        vertex_labels = node_labels[:, 0].tolist()
     node_attr_path = f"{prefix}_node_attributes.txt"
-    node_attrs = None
     if os.path.exists(node_attr_path):
-        node_attrs = _parse_floats(node_attr_path)
+        _, node_attrs = _parse_table(node_attr_path, float)
         if len(node_attrs) != n_total:
             raise GraphError(f"{node_attr_path}: {len(node_attrs)} rows for "
                              f"{n_total} vertices")
+        blocks.append(node_attrs)
+    features = np.hstack(blocks) if blocks else np.ones((n_total, 1))
 
+    # graph g owns vertices vb[g]:vb[g + 1] and edges eb[g]:eb[g + 1]
+    vb = np.searchsorted(graph_of, np.arange(n_graphs + 1))
+    edge_graph = graph_of[lo[first]]
+    eb = np.searchsorted(edge_graph, np.arange(n_graphs + 1)).tolist()
+    edge_i = (lo[first] - vb[edge_graph]).tolist()
+    edge_j = (hi[first] - vb[edge_graph]).tolist()
+    vb = vb.tolist()
     graphs = []
-    for gid in range(n_graphs):
-        n = int(counts[gid])
-        lo = int(starts[gid])
-        blocks = []
-        if node_labels is not None:
-            onehot = np.zeros((n, len(label_values)))
-            for v in range(n):
-                onehot[v, label_values.index(node_labels[lo + v])] = 1.0
-            blocks.append(onehot)
-        if node_attrs is not None:
-            blocks.append(np.asarray(node_attrs[lo:lo + n], dtype=np.float64))
-        vf = np.hstack(blocks) if blocks else np.ones((n, 1))
-        edges = tuple(sorted(per_graph_edges[gid]))
-        ef = None
-        if edge_attrs is not None:
-            ef = np.asarray([edge_attr_of[(gid, e)] for e in edges],
-                            dtype=np.float64)
-            if ef.size == 0:
-                ef = ef.reshape(0, len(edge_attrs[0]) if edge_attrs else 0)
-        vl = tuple(node_labels[lo:lo + n]) if node_labels is not None else None
-        graphs.append(Graph(n, edges, vertex_features=vf, edge_features=ef,
-                            vertex_labels=vl))
+    for g in range(n_graphs):
+        v0, v1, e0, e1 = vb[g], vb[g + 1], eb[g], eb[g + 1]
+        ef = None if edge_attrs is None else edge_attrs[first[e0:e1]]
+        vl = None if vertex_labels is None else vertex_labels[v0:v1]
+        graphs.append(Graph(v1 - v0, tuple(zip(edge_i[e0:e1], edge_j[e0:e1])),
+                            vertex_features=features[v0:v1].copy(),
+                            edge_features=ef, vertex_labels=vl))
     return graphs, labels
 
 

@@ -707,6 +707,38 @@ def test_cli_checks_the_out_directory_before_it_runs(tmp_path, capsys,
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["cv", "timing"])
+def test_cli_rejects_an_out_path_that_is_a_directory(tmp_path, capsys,
+                                                     monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+    for name in ("train_model", "_train_step"):
+        monkeypatch.setattr(bench, name, no_work)
+    graphs, labels = separable_dataset(12)
+    save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
+    out = tmp_path / "adir"
+    out.mkdir()
+    dataset = ["--dataset", str(tmp_path / "TOY")] if command == "cv" else []
+    code = main([command, *dataset, *CLI_BASE[command], "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == [f"error: cannot write {out}: it is a directory"]
+
+
+def test_cli_gen_triangle_makes_its_directory_before_it_generates(
+        tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated before making --out-dir")
+    monkeypatch.setattr(cli, "generate_triangle_dataset", no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = main(["gen-triangle", "--seed", "7", "--out-dir", str(afile)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"Not a directory: '{afile / 'TRIANGLE'}'" in err[0]
+
+
 @pytest.mark.parametrize("grid,message", [
     (None, "No such file or directory"),
     ("layer=wl2,T\n", "malformed spec field 'T'"),

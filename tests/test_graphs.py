@@ -1,6 +1,8 @@
 import collections
 import hashlib
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +444,39 @@ def test_tu_round_trip(tmp_path):
     for a, b in zip(graphs, back_graphs):
         assert a.n == b.n and a.edges == b.edges
 
+
+
+@st.composite
+def labelled_datasets(draw):
+    """2-5 graphs with vertex labels, and graph labels of two classes."""
+    graphs = [Graph(g.n, g.edges, vertex_labels=draw(st.lists(
+                  st.integers(-3, 9), min_size=g.n, max_size=g.n)))
+              for g in draw(st.lists(simple_graphs(max_n=6), min_size=2,
+                                     max_size=5))]
+    values = draw(st.lists(st.integers(-2, 7), min_size=2, max_size=2,
+                           unique=True))
+    classes = draw(st.permutations([0, 1] + draw(st.lists(
+        st.integers(0, 1), min_size=len(graphs) - 2,
+        max_size=len(graphs) - 2))))
+    return graphs, [values[c] for c in classes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_datasets())
+def test_tu_round_trip_keeps_structure_labels_and_one_hot(dataset):
+    graphs, raw_labels = dataset
+    with tempfile.TemporaryDirectory() as root:
+        save_tu_dataset(graphs, raw_labels, Path(root) / "RT", "RT")
+        back, labels = load_tu_dataset(Path(root) / "RT")
+    values = sorted({x for g in graphs for x in g.vertex_labels})
+    assert len(back) == len(graphs)
+    for a, b in zip(graphs, back):
+        assert (b.n, b.edges, b.vertex_labels) == (a.n, a.edges, a.vertex_labels)
+        onehot = np.zeros((a.n, len(values)))
+        onehot[np.arange(a.n), [values.index(x) for x in a.vertex_labels]] = 1
+        np.testing.assert_array_equal(b.vertex_features, onehot)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [int(y == max(raw_labels)) for y in raw_labels]
 
 def write_toy_tu(root, name="TOY"):
     d = root / name
