@@ -517,6 +517,7 @@ def load_tu_dataset(path):
     # of the first line that lists it
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     _, first = np.unique(lo * n_total + hi, return_index=True)
+    lo, hi = lo[first], hi[first]
 
     blocks, vertex_labels = [], None
     node_label_path = f"{prefix}_node_labels.txt"
@@ -539,10 +540,10 @@ def load_tu_dataset(path):
 
     # graph g owns vertices vb[g]:vb[g + 1] and edges eb[g]:eb[g + 1]
     vb = np.searchsorted(graph_of, np.arange(n_graphs + 1))
-    edge_graph = graph_of[lo[first]]
+    edge_graph = graph_of[lo]
     eb = np.searchsorted(edge_graph, np.arange(n_graphs + 1)).tolist()
-    edge_i = (lo[first] - vb[edge_graph]).tolist()
-    edge_j = (hi[first] - vb[edge_graph]).tolist()
+    edge_i = (lo - vb[edge_graph]).tolist()
+    edge_j = (hi - vb[edge_graph]).tolist()
     vb = vb.tolist()
     graphs = []
     for g in range(n_graphs):
