@@ -17,8 +17,12 @@ a fixed batch size (full-batch when the fold fits in one batch).
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -512,6 +516,49 @@ def _sweep_rows(spec, cells, n_graphs, epochs, seed):
             for n, d, gamma, _, seconds in cells_run]
 
 
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles in `numpy.libs/` (`scipy_openblas_*_num_threads`, with or
+    without the 64-bit `64_` suffix), or None where that library or
+    those symbols are absent, as on another BLAS build."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Runs the block with numpy's bundled OpenBLAS on one thread, so
+    that a CPU-bound neighbour slows every cell alike, and restores the
+    previous count afterwards, an exception included. A no-op where
+    `_openblas_threads` finds no such library."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
                   seed=0):
     """The scaling study of a one-layer wl2 model at radius r: epoch time
@@ -521,7 +568,8 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     graphs, at least 10, for 3 epochs. Returns (size rows, degree rows,
     slope in n, slope in d). Bad counts, empty lists, cells without a
     d-regular circulant and lists that leave a fit fewer than two distinct
-    x raise `ValueError` before either sweep runs."""
+    x raise `ValueError` before either sweep runs. Both sweeps run with
+    numpy's bundled OpenBLAS on one thread (`_one_blas_thread`)."""
     spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
     _require_positive(n_graphs=n_graphs, epochs=epochs)
     for name, values in (("n_list", n_list), ("d_list", d_list)):
@@ -542,9 +590,11 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
         if len(set(xs)) < 2:
             raise ValueError(f"{name}={list(values)} has fewer than two "
                              f"distinct {what} to fit a slope to")
-    rows_n = _sweep_rows(spec, size_cells, n_graphs, epochs, seed)
+    with _one_blas_thread():
+        rows_n = _sweep_rows(spec, size_cells, n_graphs, epochs, seed)
+        rows_d = _sweep_rows(spec, degree_cells, max(10, n_graphs // 2), 3,
+                             seed)
     top = [row for row in rows_n if row.n in top_n]
     slope_n = loglog_slope([x.n for x in top], [x.epoch_seconds for x in top])
-    rows_d = _sweep_rows(spec, degree_cells, max(10, n_graphs // 2), 3, seed)
     slope_d = loglog_slope([x.d for x in rows_d], [x.gamma for x in rows_d])
     return rows_n, rows_d, slope_n, slope_d

@@ -557,7 +557,16 @@ def load_tu_dataset(path):
 
 
 def save_tu_dataset(graphs, labels, path, name):
-    """Writes graphs in the TU text format (edges in both directions)."""
+    """Writes graphs in the TU text format (edges in both directions).
+    A graph with no vertices, which the format cannot hold, raises
+    `GraphError`, and a label count other than the graph count raises
+    `ValueError`, both before any directory or file is made."""
+    for k, g in enumerate(graphs):
+        if g.n == 0:
+            raise GraphError(f"graph {k} has no vertices: the TU format "
+                             "cannot hold it")
+    if len(labels) != len(graphs):
+        raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
     os.makedirs(path, exist_ok=True)
     prefix = os.path.join(path, name)
     with open(f"{prefix}_A.txt", "w") as adj, \

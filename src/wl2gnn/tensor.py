@@ -12,11 +12,13 @@ the package is composed from these, except the pair-message path of the
 pair convolution: `pair_scatter` computes
 `scatter_sum(act(gather(z, i1) + gather(z, i2)), target, m)` as one
 node with the same arithmetic in the same order, so it equals the
-composed ops bit for bit but keeps only the activated gamma-row array
-for its reverse pass, where the composition kept five. Each activation
-is one array-level pair (a forward, and an adjoint that works in place
-and reads only the output), shared by the standalone op and the fused
-node.
+composed ops bit for bit but keeps one gamma-row buffer per layer, where
+the composition kept five. That buffer is the gathered sum, which the
+logistic activates in place; the activated array lives until the node's
+reverse pass, which consumes it, so a second reverse pass through the
+node raises. Each activation is one array-level pair (a forward, and an
+adjoint that works in place and reads only the output), shared by the
+standalone op and the fused node.
 
 Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
 `ScatterIndex`, which builds a rank-slot plan on its first sum: a stable
@@ -263,15 +265,16 @@ def segment_min(x, seg, n_segments):
     return _node(out, (x,), bw)
 
 
-def _sigmoid(x):
-    """1 / (1 + exp(-x)) in four passes over one new buffer: negate,
-    then exp, add 1 and reciprocal in place. At most 4 ulp from the
+def _sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) in four passes over one buffer, `out` or a new
+    one (`out=x` overwrites the input): negate into it, then exp, add 1
+    and reciprocal in place. At most 4 ulp from the
     two-branch form (1 / (1 + e) for x >= 0, e / (1 + e) below,
     e = exp(-|x|)) where that form's output is normal, and equal to it
     at +-inf and +-0; NaN stays NaN. For x below about -708.4 the output
     is subnormal and loses precision, and below about -709.8, where
     exp(-x) overflows, it is 0."""
-    out = np.negative(x)
+    out = np.negative(x, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -279,9 +282,11 @@ def _sigmoid(x):
     return out
 
 
-def _sigmoid_adjoint(g, y):
+def _sigmoid_adjoint(g, y, scratch=None):
+    """g * y * (1 - y) in place on g; 1 - y goes into `scratch`, or a
+    new buffer (`scratch=y` consumes y)."""
     g *= y
-    g *= 1.0 - y
+    g *= np.subtract(1.0, y, out=scratch)
     return g
 
 
@@ -292,7 +297,10 @@ def _relu_adjoint(g, y):
 
 # activation name -> (forward, adjoint) on arrays: forward returns a new
 # array y; adjoint(g, y) turns the adjoint of y into the adjoint of the
-# input in place on g and returns it, reading only y
+# input in place on g and returns it, reading only y and leaving it as
+# it was. Only `pair_scatter` hands the logistic pair buffers to
+# overwrite (`out`, `scratch`): it activates its gathered sum in place,
+# and its reverse pass consumes y
 _ACTIVATION_ARRAYS = {
     "logistic": (_sigmoid, _sigmoid_adjoint),
     "relu": (lambda x: x * (x > 0), _relu_adjoint),
@@ -326,17 +334,33 @@ ACTIVATIONS = {"logistic": logistic, "relu": relu, "identity": identity}
 def pair_scatter(z, idx1, idx2, target, m, act):
     """`scatter_sum(act(gather(z, idx1) + gather(z, idx2)), target, m)`
     as one node: the same arithmetic in the same order, bit for bit, but
-    only the activated (len(idx1), d) array is kept for the reverse
-    pass. Indices are int arrays or `ScatterIndex`es; `act` is a key of
-    `ACTIVATIONS`."""
+    the forward keeps one (len(idx1), d) buffer, which the logistic
+    activates in place, and the activated array lives only until the
+    node's reverse pass, which consumes it (the logistic adjoint writes
+    1 - y over it); a second reverse pass through the node raises
+    `ValueError`. Indices are int arrays or `ScatterIndex`es; `act` is a
+    key of `ACTIVATIONS`."""
     forward, adjoint = _ACTIVATION_ARRAYS[act]
     index1, index2, target = as_index(idx1), as_index(idx2), as_index(target)
     x = z.data[index1.idx]
     x += z.data[index2.idx]
-    y = forward(x)
+    if forward is _sigmoid:
+        # x and y are this node's own buffers, so no other reader sees
+        # them overwritten
+        y = _sigmoid(x, out=x)
+
+        def adjoint(g, y):
+            return _sigmoid_adjoint(g, y, scratch=y)
+    else:
+        y = forward(x)
 
     def bw(g):
-        ga = adjoint(g[target.idx], y)
+        nonlocal y
+        if y is None:
+            raise ValueError("pair_scatter: a second reverse pass through "
+                             "this node; the first consumed its activated "
+                             "array")
+        ga, y = adjoint(g[target.idx], y), None
         s = index1.sum_rows(ga, z.shape[0])
         s += index2.sum_rows(ga, z.shape[0])
         z._accumulate(s)

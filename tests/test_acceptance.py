@@ -330,8 +330,10 @@ def test_criterion_10_scaling_slopes(monkeypatch):
     assert 0.75 <= slope_n <= 1.25, f"epoch-time slope in n: {slope_n:.3f}"
     assert slope_d <= 2 * 1 + 0.5, f"gamma slope in d: {slope_d:.3f}"
     assert elapsed <= 600, f"took {elapsed:.0f}s"
+    blas = ("one BLAS thread" if bench._openblas_threads() is not None
+            else "BLAS threads left as found: no bundled OpenBLAS")
     return (f"epoch time ~ n^{slope_n:.2f}, gamma ~ d^{slope_d:.2f} "
-            f"(bound 2.5) ({elapsed:.0f} s: generation "
+            f"(bound 2.5) on {blas} ({elapsed:.0f} s: generation "
             f"{spent['generation']:.2f} s, encoding {spent['encoding']:.2f} s, "
             f"timed epochs {training:.1f} s)")
 

@@ -588,6 +588,63 @@ def test_scaling_study_times_its_cells_round_robin(monkeypatch):
     assert [r.epoch_seconds for r in rows_n] == [4.0, 2.0]
 
 
+def _fake_blas_threads(monkeypatch, count):
+    """Stands in a counter for numpy's OpenBLAS thread controls; returns
+    the current count (a one-item list) and every count set."""
+    now, sets = [count], []
+
+    def set_threads(n):
+        sets.append(n)
+        now[0] = n
+    monkeypatch.setattr(bench, "_openblas_threads",
+                        lambda: (lambda: now[0], set_threads))
+    return now, sets
+
+
+def test_scaling_study_sweeps_on_one_blas_thread(monkeypatch):
+    now, sets = _fake_blas_threads(monkeypatch, 4)
+    during = []
+    monkeypatch.setattr(bench, "_train_step", lambda *a: during.append(now[0]))
+    scaling_study([8, 16], [2, 4], fixed_n=8, n_graphs=2, epochs=2)
+    assert len(during) == 2 * 3 + 2 * 4 and set(during) == {1}
+    assert sets == [1, 4] and now == [4]
+
+
+def test_scaling_study_restores_blas_threads_when_a_sweep_raises(monkeypatch):
+    now, sets = _fake_blas_threads(monkeypatch, 3)
+
+    def failing_step(*args):
+        raise RuntimeError("step failed")
+    monkeypatch.setattr(bench, "_train_step", failing_step)
+    with pytest.raises(RuntimeError, match="step failed"):
+        scaling_study([8, 16], [2, 4], fixed_n=8, n_graphs=2, epochs=2)
+    assert sets == [1, 3] and now == [3]
+
+
+def test_scaling_study_runs_without_a_bundled_openblas(monkeypatch):
+    steps = []
+    monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(bench, "_train_step", lambda *a: steps.append(a))
+    rows_n, rows_d, _, _ = scaling_study([8, 16], [2, 4], fixed_n=8,
+                                         n_graphs=2, epochs=2)
+    assert len(rows_n) == len(rows_d) == 2 and len(steps) == 14
+
+
+def test_openblas_thread_count_round_trips():
+    threads = bench._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread controls here")
+    get, set_threads = threads
+    saved = get()
+    assert saved >= 1
+    try:
+        set_threads(1)
+        assert get() == 1
+    finally:
+        set_threads(saved)
+    assert get() == saved
+
+
 @pytest.mark.parametrize("n_list,d_list,fixed_n", [
     ([1, 2], [2], 8),      # no cell of the size sweep is feasible
     ([8, 16], [8, 9], 8),  # no cell of the degree sweep is feasible

@@ -446,6 +446,20 @@ def test_tu_round_trip(tmp_path):
 
 
 
+@pytest.mark.parametrize("sizes,n_labels,error,message", [
+    ((2, 0, 3), 3, GraphError, "graph 1 has no vertices"),
+    ((2, 2, 3), 2, ValueError, "2 labels for 3 graphs"),
+])
+def test_tu_writer_rejects_what_its_loader_rejects(tmp_path, sizes, n_labels,
+                                                   error, message):
+    # each dataset once saved and then failed to load; now the writer
+    # refuses it before it makes a directory or a file
+    graphs = [Graph(n, ()) for n in sizes]
+    with pytest.raises(error, match=message):
+        save_tu_dataset(graphs, [0, 1, 1][:n_labels], tmp_path / "BAD", "BAD")
+    assert not (tmp_path / "BAD").exists()
+
+
 @st.composite
 def labelled_datasets(draw):
     """2-5 graphs with vertex labels, and graph labels of two classes."""

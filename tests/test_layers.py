@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -606,6 +608,55 @@ def test_wl2_graph_keeps_no_gamma_row_tensor():
             assert node.shape[0] != batch.gamma
             stack.extend(node._parents)
     assert len(seen) > 3 * spec.t
+
+
+def _traced_peak(fn):
+    """Bytes that fn() held at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_wl2_step_peak_memory_in_gamma_row_arrays():
+    # Peaks in units of the batch's gamma-row array (gamma x d floats).
+    # Two K_32 at r=1 have gamma = 32 m, so an m-row array is 1/32 of one.
+    # A step holds at most T + 1 gamma-row arrays: one activated array
+    # per layer until its reverse pass consumes it, plus the adjoint rows
+    # of the layer being reversed (or, in the forward, the gathered sum
+    # and its second gather). Beside them, at most 7T + 10 m-row arrays:
+    # 7 values per layer (three products, the pair sum, the gated
+    # product, the sum, its activation), 7 gradients of the last layer
+    # and its input, and 3 rows inside the two gather-adjoint sums. A
+    # no-graph forward keeps nothing across layers: 2 gamma-row arrays
+    # (the gathered sum and its second gather) beside 4 m-row arrays (the
+    # layer's input and its three products). Each bound adds half an
+    # m-row array for parameter gradients, pooled rows and Python objects.
+    spec = ModelSpec(layer="wl2", t=3, d=16, r=1, pool="mean",
+                     act="logistic")
+    units = prepare_units(spec, [complete_graph(32), complete_graph(32)])
+    params = init_model_params(spec, input_width(units), seed=0)
+    batch = combine_units(spec, units)
+    rows = batch.m / batch.gamma
+    assert rows == 1 / 32
+
+    def step():
+        T.backward(T.bce(forward_model(spec, params, batch),
+                         np.array([[0.0], [1.0]])))
+
+    def evaluate():
+        with T.no_graph():
+            forward_model(spec, params, batch)
+    step()  # builds the batch's scatter plans, which later steps reuse
+    T.zero_grads(params.tensors())
+    array = batch.gamma * spec.d * 8
+    trained = _traced_peak(step) / array
+    assert trained <= spec.t + 1 + (7 * spec.t + 10.5) * rows, trained
+    evaluated = _traced_peak(evaluate) / array
+    assert evaluated <= 2 + 4.5 * rows, evaluated
 
 
 # --------------------------------------------------------- batch contents

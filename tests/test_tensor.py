@@ -245,6 +245,32 @@ def test_pair_scatter_matches_composed_ops_bitwise(seed, gather_side,
     assert np.array_equal(_bits(z_fused.grad), _bits(z_composed.grad))
 
 
+@pytest.mark.parametrize("act", ["identity", "relu", "logistic"])
+def test_pair_scatter_refuses_a_second_reverse_pass(act):
+    # the first reverse pass consumes the node's activated array
+    z = leaf(np.random.default_rng(0).standard_normal((4, 3)))
+    values = z.data.copy()
+    idx = np.array([0, 1, 2, 3, 3])
+    out = T.sum_all(T.pair_scatter(z, idx, idx[::-1], idx, 4, act))
+    T.backward(out)
+    assert np.array_equal(z.data, values)
+    with pytest.raises(ValueError, match="pair_scatter: a second reverse"):
+        T.backward(out)
+
+
+@pytest.mark.parametrize("act", ["relu", "logistic"])
+def test_standalone_activation_leaves_its_input_and_output(act):
+    # the in-place logistic pair is the fused node's own; the standalone
+    # ops keep their input and output arrays through both passes
+    x = leaf(np.random.default_rng(1).standard_normal((5, 2)))
+    x_before = x.data.copy()
+    y = T.ACTIVATIONS[act](x)
+    y_before = y.data.copy()
+    T.backward(T.sum_all(T.hadamard(y, T.constant(np.full((5, 2), 3.0)))))
+    assert np.array_equal(x.data, x_before)
+    assert np.array_equal(y.data, y_before)
+
+
 def test_segment_min_routes_gradient_to_argmin_only():
     x = leaf([[3.0], [2.0], [7.0]])
     out = T.sum_all(T.segment_min(x, np.array([0, 0, 1]), 2))
