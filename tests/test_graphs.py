@@ -452,8 +452,8 @@ def test_tu_round_trip(tmp_path):
 ])
 def test_tu_writer_rejects_what_its_loader_rejects(tmp_path, sizes, n_labels,
                                                    error, message):
-    # each dataset once saved and then failed to load; now the writer
-    # refuses it before it makes a directory or a file
+    # the loader would reject either directory, so the writer refuses the
+    # dataset before it makes a directory or a file
     graphs = [Graph(n, ()) for n in sizes]
     with pytest.raises(error, match=message):
         save_tu_dataset(graphs, [0, 1, 1][:n_labels], tmp_path / "BAD", "BAD")

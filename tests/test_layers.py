@@ -640,8 +640,8 @@ def test_wl2_step_peak_memory_in_gamma_row_arrays():
     units = prepare_units(spec, [complete_graph(32), complete_graph(32)])
     params = init_model_params(spec, input_width(units), seed=0)
     batch = combine_units(spec, units)
-    rows = batch.m / batch.gamma
-    assert rows == 1 / 32
+    m_row = batch.m / batch.gamma  # an m-row array, in gamma-row arrays
+    assert m_row == 1 / 32
 
     def step():
         T.backward(T.bce(forward_model(spec, params, batch),
@@ -654,9 +654,9 @@ def test_wl2_step_peak_memory_in_gamma_row_arrays():
     T.zero_grads(params.tensors())
     array = batch.gamma * spec.d * 8
     trained = _traced_peak(step) / array
-    assert trained <= spec.t + 1 + (7 * spec.t + 10.5) * rows, trained
+    assert trained <= spec.t + 1 + (7 * spec.t + 10.5) * m_row, trained
     evaluated = _traced_peak(evaluate) / array
-    assert evaluated <= 2 + 4.5 * rows, evaluated
+    assert evaluated <= 2 + 4.5 * m_row, evaluated
 
 
 # --------------------------------------------------------- batch contents
