@@ -21,16 +21,19 @@ adjoint that works in place and reads only the output), shared by the
 standalone op and the fused node.
 
 Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
-`ScatterIndex`, which builds a rank-slot plan on its first sum: a stable
-argsort of the index plus the number of sources per target. Slot s
-holds every target with more than s sources together with its s-th
-source, so the sum is one vectorised `out[rows] += values[src]` per
-slot, adding in index order and hence equal bit for bit to
-`np.add.at`. An index whose busiest target takes more than 1/64 of its
-entries (the pooling segments of a small batch, hub vertices) would
-need many thin slots and keeps `np.add.at`. Batches hold their indices
-as `ScatterIndex`es, so every layer of a forward and backward pass
-shares one plan per index; a plain array is wrapped afresh on each
+`ScatterIndex`, which builds a busiest-first prefix plan on its first
+sum. Targets are ranked by source count, busiest first, so the targets
+with more than s sources are the first k_s ranked rows, and slot s adds
+their s-th sources in one gather and one in-place add on that contiguous
+prefix, `out[:k_s] += take(values, src_s)`; one last take puts the rows
+back in target order. Each target adds its sources in index order,
+starting from +0.0, so the sum equals `np.add.at` bit for bit. A sorted
+index needs no argsort to find its sources' order. An index whose
+busiest target takes more than 1/16 of its entries (one pooled graph,
+hub vertices) would need many thin slots and keeps `np.add.at`. An entry
+not below the output's row count raises `ValueError`. Batches hold their
+indices as `ScatterIndex`es, so every layer of a forward and backward
+pass shares one plan per index; a plain array is wrapped afresh on each
 call.
 
 Inside `with no_graph():` ops record nothing: every node they build has
@@ -153,63 +156,86 @@ def scale(a, alpha):
     return _node(alpha * a.data, (a,), bw)
 
 
-# a scatter uses its rank-slot plan only when the busiest target takes at
-# most 1/SLOT_WIDTH of the entries, so that slots are wide on average
-SLOT_WIDTH = 64
+# a scatter uses its prefix plan only when the busiest target takes at
+# most 1/SLOT_WIDTH of the entries. A slot costs about 4 us of call
+# overhead, which np.add.at spends on about 240 / d rows of d columns:
+# at 16 entries per slot the plan halves np.add.at's time at d = 32 and
+# matches it at d = 16
+SLOT_WIDTH = 16
 
 
 def _rank_slots(idx):
-    """The rank-slot plan of an index: a list of (targets, sources)
-    pairs, slot s pairing each target that has more than s sources with
-    its s-th source in index order. None when the plan would have more
-    than len(idx) / SLOT_WIDTH slots, or for an empty index."""
+    """The busiest-first prefix plan of an index, as (pos, sources).
+    Targets are ranked by source count, busiest first and ties in target
+    order; sources[s] holds the s-th source, in index order, of each of
+    the first len(sources[s]) ranked targets, so every slot adds into a
+    prefix of the ranked rows and the prefixes never grow. pos[t] is the
+    rank of target t, or the number of targets with sources (a zero row
+    past the ranked ones) for a target without. None when the plan would
+    have more than len(idx) / SLOT_WIDTH slots, or for an empty index."""
     if idx.size == 0:
         return None
     counts = np.bincount(idx)
     if counts.max() * SLOT_WIDTH > idx.size:
         return None
-    order = np.argsort(idx, kind="stable")
-    starts = np.cumsum(counts) - counts
-    slots = []
-    for s in range(counts.max()):
-        rows = np.flatnonzero(counts > s)
-        slots.append((rows, order[starts[rows] + s]))
-    return slots
+    rank = np.argsort(-counts, kind="stable")
+    # widths[s]: how many targets have more than s sources
+    widths = len(counts) - np.cumsum(np.bincount(counts))[:counts.max()]
+    pos = np.full(len(counts), widths[0])
+    pos[rank[:widths[0]]] = np.arange(widths[0])
+    starts = (np.cumsum(counts) - counts)[rank[:widths[0]]]
+    # a sorted index lists each target's sources in index order already
+    order = (None if np.all(idx[1:] >= idx[:-1])
+             else np.argsort(idx, kind="stable"))
+    sources = [starts[:k] + s for s, k in enumerate(widths)]
+    if order is not None:
+        sources = [order[src] for src in sources]
+    return pos, sources
 
 
 class ScatterIndex:
     """A row index whose scatter plan is built by its first sum and
     reused by every later one."""
-    __slots__ = ("idx", "_slots", "_planned")
+    __slots__ = ("idx", "_plan", "_planned", "_rows")
 
     def __init__(self, idx):
         self.idx = np.asarray(idx, dtype=np.int64)
-        self._slots = None
+        self._plan = None
         self._planned = False
+        self._rows = 0
 
     def __len__(self):
         return self.idx.shape[0]
 
     def sum_rows(self, values, m):
         """(m, d) array whose row t sums the rows of `values` at the
-        positions where the index is t; bit for bit `np.add.at`."""
+        positions where the index is t; bit for bit `np.add.at`. Raises
+        `ValueError` when an entry is not below m."""
         if not self._planned:
-            self._slots, self._planned = _rank_slots(self.idx), True
-        if self._slots is None:
+            self._plan, self._planned = _rank_slots(self.idx), True
+            # rows the index reaches: its largest entry plus one
+            self._rows = int(self.idx.max()) + 1 if len(self) else 0
+        if self._rows > m:
+            raise ValueError(f"scatter index entry {self._rows - 1} is out "
+                             f"of range for m={m} rows")
+        if self._plan is None:
             out = np.zeros((m, values.shape[1]))
             np.add.at(out, self.idx, values)
             return out
-        (rows, src), rest = self._slots[0], self._slots[1:]
-        if len(rows) == m:
-            out = values[src]
+        pos, sources = self._plan
+        k = len(sources[0])
+        if k == m:
+            out = np.take(values, sources[0], axis=0)
+            # np.add.at adds the first source to +0.0, turning -0.0 into +0.0
+            out += 0.0
         else:
-            out = np.zeros((m, values.shape[1]))
-            out[rows] = values[src]
-        for rows, src in rest:
-            out[rows] += values[src]
-        # np.add.at adds the first source to +0.0, turning -0.0 into +0.0
-        out += 0.0
-        return out
+            out = np.zeros((k + 1, values.shape[1]))
+            out[:k] += np.take(values, sources[0], axis=0)
+        for src in sources[1:]:
+            out[:len(src)] += np.take(values, src, axis=0)
+        if m > len(pos):
+            pos = np.concatenate((pos, np.full(m - len(pos), k)))
+        return np.take(out, pos, axis=0)
 
 
 def as_index(idx):

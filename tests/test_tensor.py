@@ -173,6 +173,68 @@ def test_scatter_sum_and_gather_adjoint_match_add_at_bitwise(seed, side,
         assert np.array_equal(_bits(z.grad), _bits(expected))
 
 
+# per-target source counts (target t has counts[t] entries) and the row
+# count of the output, each with at least SLOT_WIDTH entries per slot
+_PLAN_EDGES = {
+    "tied": (np.array([3] * 20 + [2] * 10), 30),
+    "gaps": (np.tile([3, 0, 2, 0, 0, 1, 3], 8), 56),
+    "spare-rows": (np.array([2] * 30 + [1] * 10), 45),
+}
+
+
+@pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("case", sorted(_PLAN_EDGES))
+def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
+    counts, m = _PLAN_EDGES[case]
+    rng = np.random.default_rng(7)
+    idx = np.repeat(np.arange(len(counts)), counts)
+    if not sort:
+        idx = rng.permutation(idx)
+    values = rng.standard_normal((len(idx), 2))
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[idx == 0] = -0.0  # a target whose every source is -0.0
+    pos, sources = T._rank_slots(idx)
+    widths = [len(src) for src in sources]
+    assert all(a >= b for a, b in zip(widths, widths[1:]))
+    assert sum(widths) == len(idx)
+    # the ranked targets are the busiest first, ties in target order, and
+    # slot s holds each one's s-th source in index order
+    ranked = np.argsort(-counts, kind="stable")[:widths[0]]
+    assert np.array_equal(pos[ranked], np.arange(widths[0]))
+    assert np.all(pos[counts == 0] == widths[0])
+    for s, src in enumerate(sources):
+        assert np.array_equal(
+            src, [np.flatnonzero(idx == t)[s] for t in ranked[:len(src)]])
+    expected = np.zeros((m, 2))
+    np.add.at(expected, idx, values)
+    for index in (idx, T.ScatterIndex(idx)):
+        out = T.scatter_sum(T.constant(values), index, m).data
+        assert np.array_equal(_bits(out), _bits(expected))
+        z = leaf(np.zeros((m, 2)))
+        T.gather(z, index)._backward(values)
+        assert np.array_equal(_bits(z.grad), _bits(expected))
+
+
+def test_one_target_keeps_add_at_and_graph_segments_take_the_plan():
+    assert T._rank_slots(np.zeros(200, dtype=np.int64)) is None
+    # a 32-graph batch's pooling segments, 40-80 rows per graph
+    sizes = np.random.default_rng(3).integers(40, 81, size=32)
+    assert T._rank_slots(np.repeat(np.arange(32), sizes)) is not None
+
+
+@pytest.mark.parametrize("side", ["slots", "fallback"])
+def test_scatter_rejects_an_entry_past_its_rows(side):
+    idx = (np.arange(40) % 20 if side == "slots" else np.array([0, 19, 1]))
+    assert (T._rank_slots(idx) is None) == (side == "fallback")
+    values = T.constant(np.ones((len(idx), 2)))
+    index = T.ScatterIndex(idx)
+    for _ in range(2):  # the planned index checks again
+        with pytest.raises(ValueError, match=r"entry 19 is out of range "
+                                             r"for m=19 rows"):
+            T.scatter_sum(values, index, 19)
+    assert T.scatter_sum(values, index, 20).shape == (20, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
