@@ -25,16 +25,21 @@ Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
 sum. Targets are ranked by source count, busiest first, so the targets
 with more than s sources are the first k_s ranked rows, and slot s adds
 their s-th sources in one gather and one in-place add on that contiguous
-prefix, `out[:k_s] += take(values, src_s)`; one last take puts the rows
+prefix, `acc[:k_s] += take(values, src_s)`; one last take puts the rows
 back in target order. Each target adds its sources in index order,
-starting from +0.0, so the sum equals `np.add.at` bit for bit. A sorted
-index needs no argsort to find its sources' order. An index whose
+starting from +0.0, so the sum equals `np.add.at` bit for bit. The
+accumulator is a buffer that the index keeps for its later sums, so a
+planned sum allocates its output and one slot's rows at a time, no more
+than `np.add.at` would. A sorted index needs no argsort to find its
+sources' order. `np.add.at` is the one fallback: for an index whose
 busiest target takes more than 1/16 of its entries (one pooled graph,
-hub vertices) would need many thin slots and keeps `np.add.at`. An entry
-not below the output's row count raises `ValueError`. Batches hold their
-indices as `ScatterIndex`es, so every layer of a forward and backward
-pass shares one plan per index; a plain array is wrapped afresh on each
-call.
+hub vertices), which would need many thin slots, and for values too
+narrow for the plan's per-slot overhead to pay (a one-column sum needs
+240 entries per slot). An entry not below the output's row count, or
+values whose row count is not the index's length, raise `ValueError`.
+Batches hold their indices as `ScatterIndex`es, so every layer of a
+forward and backward pass shares one plan per index; a plain array is
+wrapped afresh on each call.
 
 Inside `with no_graph():` ops record nothing: every node they build has
 no parents, no backward closure and no gradient, so a forward pass that
@@ -156,12 +161,14 @@ def scale(a, alpha):
     return _node(alpha * a.data, (a,), bw)
 
 
-# a scatter uses its prefix plan only when the busiest target takes at
-# most 1/SLOT_WIDTH of the entries. A slot costs about 4 us of call
-# overhead, which np.add.at spends on about 240 / d rows of d columns:
-# at 16 entries per slot the plan halves np.add.at's time at d = 32 and
-# matches it at d = 16
+# an index whose busiest target takes more than 1/SLOT_WIDTH of its
+# entries gets no prefix plan: its slots would be too thin to pay
 SLOT_WIDTH = 16
+# a prefix slot costs about 4.5 us of call overhead, the time np.add.at
+# spends on about SLOT_COST scalars (SLOT_COST / d rows of d columns), so
+# values of d columns take the plan only where its slots average at least
+# SLOT_COST / d entries: 7.5 at d = 32, 240 for a one-column sum
+SLOT_COST = 240
 
 
 def _rank_slots(idx):
@@ -185,32 +192,30 @@ def _rank_slots(idx):
     pos[rank[:widths[0]]] = np.arange(widths[0])
     starts = (np.cumsum(counts) - counts)[rank[:widths[0]]]
     # a sorted index lists each target's sources in index order already
-    order = (None if np.all(idx[1:] >= idx[:-1])
+    order = (np.arange(idx.size) if np.all(idx[1:] >= idx[:-1])
              else np.argsort(idx, kind="stable"))
-    sources = [starts[:k] + s for s, k in enumerate(widths)]
-    if order is not None:
-        sources = [order[src] for src in sources]
-    return pos, sources
+    return pos, [order[starts[:k] + s] for s, k in enumerate(widths)]
 
 
 class ScatterIndex:
     """A row index whose scatter plan is built by its first sum and
-    reused by every later one."""
-    __slots__ = ("idx", "_plan", "_planned", "_rows")
+    reused, with the plan's accumulator, by every later one."""
+    __slots__ = ("idx", "_plan", "_planned", "_rows", "_acc")
 
     def __init__(self, idx):
         self.idx = np.asarray(idx, dtype=np.int64)
         self._plan = None
         self._planned = False
         self._rows = 0
+        self._acc = np.empty(0)
 
     def __len__(self):
         return self.idx.shape[0]
 
-    def sum_rows(self, values, m):
-        """(m, d) array whose row t sums the rows of `values` at the
-        positions where the index is t; bit for bit `np.add.at`. Raises
-        `ValueError` when an entry is not below m."""
+    def _plan_for(self, d, m):
+        """The prefix plan for values of d columns, or None where
+        `np.add.at` is cheaper. Raises `ValueError` when an entry is not
+        below m."""
         if not self._planned:
             self._plan, self._planned = _rank_slots(self.idx), True
             # rows the index reaches: its largest entry plus one
@@ -218,24 +223,44 @@ class ScatterIndex:
         if self._rows > m:
             raise ValueError(f"scatter index entry {self._rows - 1} is out "
                              f"of range for m={m} rows")
-        if self._plan is None:
-            out = np.zeros((m, values.shape[1]))
+        if (self._plan is None
+                or len(self._plan[1]) * SLOT_COST > len(self) * d):
+            return None
+        return self._plan
+
+    def sum_rows(self, values, m):
+        """(m, d) array whose row t sums the rows of `values` at the
+        positions where the index is t; bit for bit `np.add.at`. Raises
+        `ValueError` when an entry is not below m, or when `values` does
+        not have one row per entry."""
+        if len(values) != len(self):
+            raise ValueError(f"scatter of {len(values)} rows through an "
+                             f"index of {len(self)} entries")
+        d = values.shape[1]
+        plan = self._plan_for(d, m)
+        if plan is None:
+            out = np.zeros((m, d))
             np.add.at(out, self.idx, values)
             return out
-        pos, sources = self._plan
+        pos, sources = plan
         k = len(sources[0])
-        if k == m:
-            out = np.take(values, sources[0], axis=0)
-            # np.add.at adds the first source to +0.0, turning -0.0 into +0.0
-            out += 0.0
-        else:
-            out = np.zeros((k + 1, values.shape[1]))
-            out[:k] += np.take(values, sources[0], axis=0)
+        # the accumulator is kept for the index's later sums, so that a
+        # sum allocates only its output beside one slot's rows; its row k
+        # stays zero, for targets without sources
+        if self._acc.size < (k + 1) * d:
+            self._acc = np.empty((k + 1) * d)
+        acc = self._acc[:(k + 1) * d].reshape(k + 1, d)
+        # the sources are in range, and a take with `out=` in the default
+        # mode would go through a temporary
+        np.take(values, sources[0], axis=0, out=acc[:k], mode="clip")
+        # np.add.at adds the first source to +0.0, turning -0.0 into +0.0
+        acc[:k] += 0.0
+        acc[k] = 0.0
         for src in sources[1:]:
-            out[:len(src)] += np.take(values, src, axis=0)
+            acc[:len(src)] += np.take(values, src, axis=0)
         if m > len(pos):
             pos = np.concatenate((pos, np.full(m - len(pos), k)))
-        return np.take(out, pos, axis=0)
+        return np.take(acc, pos, axis=0)
 
 
 def as_index(idx):

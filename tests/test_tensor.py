@@ -174,12 +174,23 @@ def test_scatter_sum_and_gather_adjoint_match_add_at_bitwise(seed, side,
 
 
 # per-target source counts (target t has counts[t] entries) and the row
-# count of the output, each with at least SLOT_WIDTH entries per slot
+# count of the output, each with at least SLOT_WIDTH entries per slot, so
+# that values of 16 columns or more take the plan
 _PLAN_EDGES = {
     "tied": (np.array([3] * 20 + [2] * 10), 30),
     "gaps": (np.tile([3, 0, 2, 0, 0, 1, 3], 8), 56),
     "spare-rows": (np.array([2] * 30 + [1] * 10), 45),
 }
+
+
+def _sums_match_add_at(index, values, m):
+    expected = np.zeros((m, values.shape[1]))
+    np.add.at(expected, T.as_index(index).idx, values)
+    out = T.scatter_sum(T.constant(values), index, m).data
+    z = leaf(np.zeros(expected.shape))
+    T.gather(z, index)._backward(values)
+    return (np.array_equal(_bits(out), _bits(expected))
+            and np.array_equal(_bits(z.grad), _bits(expected)))
 
 
 @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
@@ -190,9 +201,6 @@ def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
     idx = np.repeat(np.arange(len(counts)), counts)
     if not sort:
         idx = rng.permutation(idx)
-    values = rng.standard_normal((len(idx), 2))
-    values[rng.random(values.shape) < 0.2] = -0.0
-    values[idx == 0] = -0.0  # a target whose every source is -0.0
     pos, sources = T._rank_slots(idx)
     widths = [len(src) for src in sources]
     assert all(a >= b for a, b in zip(widths, widths[1:]))
@@ -205,34 +213,56 @@ def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
     for s, src in enumerate(sources):
         assert np.array_equal(
             src, [np.flatnonzero(idx == t)[s] for t in ranked[:len(src)]])
-    expected = np.zeros((m, 2))
-    np.add.at(expected, idx, values)
-    for index in (idx, T.ScatterIndex(idx)):
-        out = T.scatter_sum(T.constant(values), index, m).data
-        assert np.array_equal(_bits(out), _bits(expected))
-        z = leaf(np.zeros((m, 2)))
-        T.gather(z, index)._backward(values)
-        assert np.array_equal(_bits(z.grad), _bits(expected))
+    index = T.ScatterIndex(idx)
+    assert index._plan_for(16, m) is not None
+    # one index sums at several widths through the accumulator it keeps,
+    # a plain array through a fresh one
+    for d, reuse in ((16, True), (24, True), (16, True), (16, False)):
+        values = rng.standard_normal((len(idx), d))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        values[idx == 0] = -0.0  # a target whose every source is -0.0
+        assert _sums_match_add_at(index if reuse else idx, values, m)
 
 
-def test_one_target_keeps_add_at_and_graph_segments_take_the_plan():
-    assert T._rank_slots(np.zeros(200, dtype=np.int64)) is None
-    # a 32-graph batch's pooling segments, 40-80 rows per graph
+def test_plan_choice_follows_slots_and_width():
+    one_target = T.ScatterIndex(np.zeros(200, dtype=np.int64))
+    assert T._rank_slots(one_target.idx) is None
+    assert one_target._plan_for(64, 1) is None
+    # a 32-graph batch's pooling segments, 40-80 rows per graph: the plan
+    # pays for wide rows but not for a one-column sum (the weighted-mean
+    # denominator)
     sizes = np.random.default_rng(3).integers(40, 81, size=32)
-    assert T._rank_slots(np.repeat(np.arange(32), sizes)) is not None
+    seg = T.ScatterIndex(np.repeat(np.arange(32), sizes))
+    assert seg._plan_for(32, 32) is not None
+    assert seg._plan_for(1, 32) is None
+    values = np.random.default_rng(4).standard_normal((len(seg), 32))
+    for d in (32, 1, 32):
+        assert _sums_match_add_at(seg, values[:, :d], 32)
+        assert _sums_match_add_at(one_target, values[:200, :d], 1)
 
 
 @pytest.mark.parametrize("side", ["slots", "fallback"])
 def test_scatter_rejects_an_entry_past_its_rows(side):
     idx = (np.arange(40) % 20 if side == "slots" else np.array([0, 19, 1]))
     assert (T._rank_slots(idx) is None) == (side == "fallback")
-    values = T.constant(np.ones((len(idx), 2)))
+    values = T.constant(np.ones((len(idx), 16)))
     index = T.ScatterIndex(idx)
     for _ in range(2):  # the planned index checks again
         with pytest.raises(ValueError, match=r"entry 19 is out of range "
                                              r"for m=19 rows"):
             T.scatter_sum(values, index, 19)
-    assert T.scatter_sum(values, index, 20).shape == (20, 2)
+    assert T.scatter_sum(values, index, 20).shape == (20, 16)
+
+
+@pytest.mark.parametrize("side", ["slots", "fallback"])
+def test_scatter_rejects_values_of_another_length(side):
+    idx = (np.arange(40) % 20 if side == "slots" else np.array([0, 19, 1]))
+    index = T.ScatterIndex(idx)
+    for rows in (len(idx) - 1, len(idx) + 1):
+        with pytest.raises(ValueError, match=rf"scatter of {rows} rows "
+                                             rf"through an index of "
+                                             rf"{len(idx)} entries"):
+            index.sum_rows(np.ones((rows, 16)), 20)
 
 
 @settings(max_examples=200, deadline=None)
