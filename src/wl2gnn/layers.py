@@ -232,11 +232,12 @@ def pool_segments(z, mode, seg, n_graphs, scores=None):
     if mode == "sum":
         return T.scatter_sum(z, index, n_graphs)
     if mode == "mean":
+        total = T.scatter_sum(z, index, n_graphs)  # checks the entries
         counts = np.bincount(seg, minlength=n_graphs).astype(np.float64)
         if np.any(counts == 0):
             raise ValueError("cannot mean-pool an empty graph segment")
         inv = constant((1.0 / counts).reshape(-1, 1))
-        return T.hadamard(T.scatter_sum(z, index, n_graphs), inv)
+        return T.hadamard(total, inv)
     if mode == "min":
         return T.segment_min(z, seg, n_graphs)
     if mode == "weighted_mean":

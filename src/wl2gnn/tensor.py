@@ -14,32 +14,32 @@ pair convolution: `pair_scatter` computes
 node with the same arithmetic in the same order, so it equals the
 composed ops bit for bit but keeps one gamma-row buffer per layer, where
 the composition kept five. That buffer is the gathered sum, which the
-logistic activates in place; the activated array lives until the node's
+activation overwrites; the activated array lives until the node's
 reverse pass, which consumes it, so a second reverse pass through the
-node raises. Each activation is one array-level pair (a forward, and an
-adjoint that works in place and reads only the output), shared by the
-standalone op and the fused node.
+node raises. Every activation is one array pair, `forward(x, out=None)`
+and `adjoint(g, y, scratch=None)`, shared by the standalone op and the
+fused node, which alone passes its own buffers as `out` and `scratch`.
 
 Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
-`ScatterIndex`, which builds a busiest-first prefix plan on its first
-sum. Targets are ranked by source count, busiest first, so the targets
-with more than s sources are the first k_s ranked rows, and slot s adds
-their s-th sources in one gather and one in-place add on that contiguous
-prefix, `acc[:k_s] += take(values, src_s)`; one last take puts the rows
-back in target order. Each target adds its sources in index order,
-starting from +0.0, so the sum equals `np.add.at` bit for bit. The
-accumulator is a buffer that the index keeps for its later sums, so a
-planned sum allocates its output and one slot's rows at a time, no more
-than `np.add.at` would. A sorted index needs no argsort to find its
-sources' order. `np.add.at` is the one fallback: for an index whose
-busiest target takes more than 1/16 of its entries (one pooled graph,
-hub vertices), which would need many thin slots, and for values too
-narrow for the plan's per-slot overhead to pay (a one-column sum needs
-240 entries per slot). An entry not below the output's row count, or
-values whose row count is not the index's length, raise `ValueError`.
-Batches hold their indices as `ScatterIndex`es, so every layer of a
-forward and backward pass shares one plan per index; a plain array is
-wrapped afresh on each call.
+`ScatterIndex`, which counts its entries on its first sum. The count
+gives the range check and the one plan rule: values of d columns take
+the busiest-first prefix plan where its slots average at least
+`SLOT_COST / d` entries, and `np.add.at` otherwise (one pooled graph,
+hub vertices, a one-column sum). Targets are ranked by source count,
+busiest first, so the targets with more than s sources are the first
+k_s ranked rows, and slot s adds their s-th sources in one gather and
+one in-place add on that contiguous prefix, `acc[:k_s] +=
+take(values, src_s)`; one last take puts the rows back in target order.
+Each target adds its sources in index order, starting from +0.0, so the
+sum equals `np.add.at` bit for bit. The accumulator is a buffer that
+the index keeps for its later sums, so a planned sum allocates its
+output and one slot's rows at a time, no more than `np.add.at` would. A
+sorted index needs no argsort to find its sources' order. A negative
+entry, an entry not below the output's row count, or values whose row
+count is not the index's length, raise `ValueError`. Batches hold their
+indices as `ScatterIndex`es, so every layer of a forward and backward
+pass shares one count and one plan per index; a plain array is wrapped
+afresh on each call.
 
 Inside `with no_graph():` ops record nothing: every node they build has
 no parents, no backward closure and no gradient, so a forward pass that
@@ -161,9 +161,6 @@ def scale(a, alpha):
     return _node(alpha * a.data, (a,), bw)
 
 
-# an index whose busiest target takes more than 1/SLOT_WIDTH of its
-# entries gets no prefix plan: its slots would be too thin to pay
-SLOT_WIDTH = 16
 # a prefix slot costs about 4.5 us of call overhead, the time np.add.at
 # spends on about SLOT_COST scalars (SLOT_COST / d rows of d columns), so
 # values of d columns take the plan only where its slots average at least
@@ -171,20 +168,23 @@ SLOT_WIDTH = 16
 SLOT_COST = 240
 
 
-def _rank_slots(idx):
-    """The busiest-first prefix plan of an index, as (pos, sources).
-    Targets are ranked by source count, busiest first and ties in target
-    order; sources[s] holds the s-th source, in index order, of each of
-    the first len(sources[s]) ranked targets, so every slot adds into a
-    prefix of the ranked rows and the prefixes never grow. pos[t] is the
-    rank of target t, or the number of targets with sources (a zero row
-    past the ranked ones) for a target without. None when the plan would
-    have more than len(idx) / SLOT_WIDTH slots, or for an empty index."""
-    if idx.size == 0:
-        return None
-    counts = np.bincount(idx)
-    if counts.max() * SLOT_WIDTH > idx.size:
-        return None
+def _check_entries(idx, m, name):
+    """Raises `ValueError` naming the first entry of idx outside 0..m-1."""
+    bad = idx[(idx < 0) | (idx >= m)]
+    if bad.size:
+        raise ValueError(f"{name} entry {bad[0]} is out of range for "
+                         f"m={m} rows")
+
+
+def _rank_slots(idx, counts):
+    """The busiest-first prefix plan of a non-empty index whose entries
+    count `counts` (its bincount), as (pos, sources). Targets are ranked
+    by source count, busiest first and ties in target order; sources[s]
+    holds the s-th source, in index order, of each of the first
+    len(sources[s]) ranked targets, so every slot adds into a prefix of
+    the ranked rows and the prefixes never grow. pos[t] is the rank of
+    target t, or the number of targets with sources (a zero row past the
+    ranked ones) for a target without."""
     rank = np.argsort(-counts, kind="stable")
     # widths[s]: how many targets have more than s sources
     widths = len(counts) - np.cumsum(np.bincount(counts))[:counts.max()]
@@ -198,41 +198,40 @@ def _rank_slots(idx):
 
 
 class ScatterIndex:
-    """A row index whose scatter plan is built by its first sum and
-    reused, with the plan's accumulator, by every later one."""
-    __slots__ = ("idx", "_plan", "_planned", "_rows", "_acc")
+    """A row index whose count and scatter plan, with the plan's
+    accumulator, are built by the first sum that needs them."""
+    __slots__ = ("idx", "_counts", "_plan", "_acc")
 
     def __init__(self, idx):
         self.idx = np.asarray(idx, dtype=np.int64)
+        self._counts = None
         self._plan = None
-        self._planned = False
-        self._rows = 0
         self._acc = np.empty(0)
 
     def __len__(self):
         return self.idx.shape[0]
 
     def _plan_for(self, d, m):
-        """The prefix plan for values of d columns, or None where
-        `np.add.at` is cheaper. Raises `ValueError` when an entry is not
-        below m."""
-        if not self._planned:
-            self._plan, self._planned = _rank_slots(self.idx), True
-            # rows the index reaches: its largest entry plus one
-            self._rows = int(self.idx.max()) + 1 if len(self) else 0
-        if self._rows > m:
-            raise ValueError(f"scatter index entry {self._rows - 1} is out "
-                             f"of range for m={m} rows")
-        if (self._plan is None
-                or len(self._plan[1]) * SLOT_COST > len(self) * d):
+        """The prefix plan for values of d columns, or None where its
+        slots average fewer than SLOT_COST / d entries. Raises
+        `ValueError` naming an entry that is negative or not below m."""
+        counts = self._counts
+        if counts is None or len(counts) > m:
+            # checked before the count, which a stray entry would size;
+            # a counted index reaches len(counts) rows, so this raises
+            _check_entries(self.idx, m, "scatter index")
+            counts = self._counts = np.bincount(self.idx)
+        if not len(self) or counts.max() * SLOT_COST > len(self) * d:
             return None
+        if self._plan is None:
+            self._plan = _rank_slots(self.idx, counts)
         return self._plan
 
     def sum_rows(self, values, m):
         """(m, d) array whose row t sums the rows of `values` at the
         positions where the index is t; bit for bit `np.add.at`. Raises
-        `ValueError` when an entry is not below m, or when `values` does
-        not have one row per entry."""
+        `ValueError` when an entry is negative or not below m, or when
+        `values` does not have one row per entry."""
         if len(values) != len(self):
             raise ValueError(f"scatter of {len(values)} rows through an "
                              f"index of {len(self)} entries")
@@ -291,12 +290,14 @@ def scatter_sum(x, idx, m):
 
 
 def segment_min(x, seg, n_segments):
-    """Columnwise minimum per segment; every segment must be non-empty.
+    """Columnwise minimum per segment; every segment must be non-empty,
+    and an entry of `seg` outside 0..n_segments-1 raises `ValueError`.
 
     The adjoint routes each output gradient to the first row attaining
     the minimum in its segment.
     """
     seg = np.asarray(seg, dtype=np.int64)
+    _check_entries(seg, n_segments, "segment")
     out = np.empty((n_segments, x.shape[1]))
     argrows = np.empty((n_segments, x.shape[1]), dtype=np.int64)
     for b in range(n_segments):
@@ -341,21 +342,16 @@ def _sigmoid_adjoint(g, y, scratch=None):
     return g
 
 
-def _relu_adjoint(g, y):
-    g *= y > 0
-    return g
-
-
-# activation name -> (forward, adjoint) on arrays: forward returns a new
-# array y; adjoint(g, y) turns the adjoint of y into the adjoint of the
-# input in place on g and returns it, reading only y and leaving it as
-# it was. Only `pair_scatter` hands the logistic pair buffers to
-# overwrite (`out`, `scratch`): it activates its gathered sum in place,
-# and its reverse pass consumes y
+# activation name -> (forward, adjoint) on arrays: forward(x, out=None)
+# returns the activation, in `out` if given (identity returns x itself);
+# adjoint(g, y, scratch=None) turns the adjoint of y into that of the
+# input in place on g and returns it, reading only y and writing at most
+# over `scratch`. The standalone ops pass neither and keep their arrays
 _ACTIVATION_ARRAYS = {
     "logistic": (_sigmoid, _sigmoid_adjoint),
-    "relu": (lambda x: x * (x > 0), _relu_adjoint),
-    "identity": (lambda x: x, lambda g, y: g),
+    "relu": (lambda x, out=None: np.multiply(x, x > 0, out=out),
+             lambda g, y, scratch=None: np.multiply(g, y > 0, out=g)),
+    "identity": (lambda x, out=None: x, lambda g, y, scratch=None: g),
 }
 
 
@@ -385,25 +381,19 @@ ACTIVATIONS = {"logistic": logistic, "relu": relu, "identity": identity}
 def pair_scatter(z, idx1, idx2, target, m, act):
     """`scatter_sum(act(gather(z, idx1) + gather(z, idx2)), target, m)`
     as one node: the same arithmetic in the same order, bit for bit, but
-    the forward keeps one (len(idx1), d) buffer, which the logistic
-    activates in place, and the activated array lives only until the
-    node's reverse pass, which consumes it (the logistic adjoint writes
-    1 - y over it); a second reverse pass through the node raises
+    the forward keeps one (len(idx1), d) buffer, which the activation
+    overwrites, and the activated array lives only until the node's
+    reverse pass, which consumes it (the logistic adjoint writes 1 - y
+    over it); a second reverse pass through the node raises
     `ValueError`. Indices are int arrays or `ScatterIndex`es; `act` is a
     key of `ACTIVATIONS`."""
     forward, adjoint = _ACTIVATION_ARRAYS[act]
     index1, index2, target = as_index(idx1), as_index(idx2), as_index(target)
     x = z.data[index1.idx]
     x += z.data[index2.idx]
-    if forward is _sigmoid:
-        # x and y are this node's own buffers, so no other reader sees
-        # them overwritten
-        y = _sigmoid(x, out=x)
-
-        def adjoint(g, y):
-            return _sigmoid_adjoint(g, y, scratch=y)
-    else:
-        y = forward(x)
+    # x and y are this node's own buffers, so no other reader sees them
+    # overwritten
+    y = forward(x, out=x)
 
     def bw(g):
         nonlocal y
@@ -411,7 +401,7 @@ def pair_scatter(z, idx1, idx2, target, m, act):
             raise ValueError("pair_scatter: a second reverse pass through "
                              "this node; the first consumed its activated "
                              "array")
-        ga, y = adjoint(g[target.idx], y), None
+        ga, y = adjoint(g[target.idx], y, scratch=y), None
         s = index1.sum_rows(ga, z.shape[0])
         s += index2.sum_rows(ga, z.shape[0])
         z._accumulate(s)

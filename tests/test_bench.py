@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import re
 import shlex
@@ -946,6 +947,34 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def _run_block(source, namespace):
+    """Runs a code block in `namespace` and returns the value of each of
+    its expression statements, in order."""
+    values = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"),
+                 namespace)
+    return values
+
+
+def test_readme_quickstart_gives_the_values_its_comments_state():
+    # README's first two python blocks run, and each commented value
+    # holds: the refinement verdicts, then min pooling on C6 and on the
+    # two triangles (the second block run again with c6 bound to cc)
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md")
+                        .read_text(), re.MULTILINE | re.DOTALL)
+    namespace = {}
+    assert _run_block(blocks[0], namespace) == [False, True]
+    for name, value in (("c6", [[4.0]]), ("cc", [[6.0]])):
+        pooled = _run_block(blocks[1], {**namespace, "c6": namespace[name]})
+        assert pooled[-1].tolist() == value
 
 
 def _subcommands():

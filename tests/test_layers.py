@@ -310,6 +310,14 @@ def test_mean_pool_rejects_empty_segment():
         pool_segments(z, "mean", np.array([0, 2]), 3)
 
 
+@pytest.mark.parametrize("mode", ["sum", "mean", "min"])
+@pytest.mark.parametrize("entry", [5, -1])
+def test_pooling_rejects_a_segment_entry_outside_its_graphs(mode, entry):
+    z = constant(np.array([[3.0], [2.0], [-9.0]]))
+    with pytest.raises(ValueError, match=rf"entry {entry} is out of range"):
+        pool_segments(z, mode, np.array([0, 1, entry]), 2)
+
+
 def test_min_pool_separates_prop_4_5_values():
     outs = {}
     for name, g in (("c6", cycle_graph(6)), ("tri", two_triangles())):
@@ -565,13 +573,21 @@ def test_prepare_units_names_the_graph_it_cannot_encode(layer, n, edges,
 
 @pytest.mark.parametrize("layer", ["wl2", "gin", "gnn2"])
 def test_batch_builds_each_scatter_plan_once(layer, monkeypatch):
-    built, original = [], T._rank_slots
+    built, taken = [], set()
+    rank_slots, plan_for = T._rank_slots, T.ScatterIndex._plan_for
 
-    def counting(idx):
+    def counting(idx, counts):
         built.append(idx)
-        return original(idx)
+        return rank_slots(idx, counts)
+
+    def recording(index, d, m):
+        plan = plan_for(index, d, m)
+        if plan is not None:
+            taken.add(id(index))
+        return plan
     monkeypatch.setattr(T, "_rank_slots", counting)
-    spec = ModelSpec(layer=layer, t=3, d=4, r=2, pool="mean", act="relu")
+    monkeypatch.setattr(T.ScatterIndex, "_plan_for", recording)
+    spec = ModelSpec(layer=layer, t=3, d=32, r=2, pool="mean", act="relu")
     gs = [featured(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
                    seed=s) for s in range(3)]
     units = prepare_units(spec, gs)
@@ -581,9 +597,12 @@ def test_batch_builds_each_scatter_plan_once(layer, monkeypatch):
     indices = (batch.scatter_indices if layer == "wl2"
                else batch.neighbor_indices)
     # every layer, forward and backward, and the pooling sum through the
-    # batch's plans
+    # batch's plans, each built once if some sum takes it: at d = 32 the
+    # message indices do, and three graphs' segments (3 entries a slot)
+    # keep np.add.at
     for index in (*indices, batch.segment_index):
-        assert sum(idx is index.idx for idx in built) == 1
+        assert sum(idx is index.idx for idx in built) == (id(index) in taken)
+    assert taken == {id(index) for index in indices}
 
 
 def test_wl2_graph_keeps_no_gamma_row_tensor():

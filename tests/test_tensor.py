@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -128,13 +130,14 @@ def _bits(a):
 
 
 def _scatter_case(seed, side, sort, d):
-    """An index on the requested side of the slot/fallback choice, its
-    output row count and order-sensitive values (mixed magnitudes, signed
-    zeros)."""
+    """An index on the requested side of the slot/fallback choice for
+    values of 1-3 columns (slots average at least 240 entries, or at
+    most 10), its output row count and order-sensitive values (mixed
+    magnitudes, signed zeros)."""
     rng = np.random.default_rng(seed)
     if side == "slots":
         kmax = int(rng.integers(1, 4))
-        n = T.SLOT_WIDTH * kmax + int(rng.integers(0, 100))
+        n = 240 * kmax + int(rng.integers(0, 100))
         m = n // kmax + 1 + int(rng.integers(0, 5))
         # targets are a random subset of the rows, so some stay unused
         targets = np.sort(rng.choice(m, size=n // kmax + 1, replace=False))
@@ -159,7 +162,7 @@ def _scatter_case(seed, side, sort, d):
 def test_scatter_sum_and_gather_adjoint_match_add_at_bitwise(seed, side,
                                                              sort, d):
     idx, m, values = _scatter_case(seed, side, sort, d)
-    planned = T._rank_slots(idx)
+    planned = T.ScatterIndex(idx)._plan_for(d, m)
     assert (planned is None) == (side == "fallback")
     expected = np.zeros((m, d))
     np.add.at(expected, idx, values)
@@ -174,12 +177,13 @@ def test_scatter_sum_and_gather_adjoint_match_add_at_bitwise(seed, side,
 
 
 # per-target source counts (target t has counts[t] entries) and the row
-# count of the output, each with at least SLOT_WIDTH entries per slot, so
-# that values of 16 columns or more take the plan
+# count of the output, each with at least 8 entries per slot, so that
+# values of 32 columns or more take the plan; "thin" has 11.5
 _PLAN_EDGES = {
     "tied": (np.array([3] * 20 + [2] * 10), 30),
     "gaps": (np.tile([3, 0, 2, 0, 0, 1, 3], 8), 56),
     "spare-rows": (np.array([2] * 30 + [1] * 10), 45),
+    "thin": (np.array([4] * 6 + [2] * 8 + [1] * 6), 22),
 }
 
 
@@ -201,7 +205,8 @@ def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
     idx = np.repeat(np.arange(len(counts)), counts)
     if not sort:
         idx = rng.permutation(idx)
-    pos, sources = T._rank_slots(idx)
+    index = T.ScatterIndex(idx)
+    pos, sources = index._plan_for(32, m)
     widths = [len(src) for src in sources]
     assert all(a >= b for a, b in zip(widths, widths[1:]))
     assert sum(widths) == len(idx)
@@ -213,11 +218,9 @@ def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
     for s, src in enumerate(sources):
         assert np.array_equal(
             src, [np.flatnonzero(idx == t)[s] for t in ranked[:len(src)]])
-    index = T.ScatterIndex(idx)
-    assert index._plan_for(16, m) is not None
     # one index sums at several widths through the accumulator it keeps,
     # a plain array through a fresh one
-    for d, reuse in ((16, True), (24, True), (16, True), (16, False)):
+    for d, reuse in ((32, True), (48, True), (32, True), (32, False)):
         values = rng.standard_normal((len(idx), d))
         values[rng.random(values.shape) < 0.2] = -0.0
         values[idx == 0] = -0.0  # a target whose every source is -0.0
@@ -226,8 +229,12 @@ def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
 
 def test_plan_choice_follows_slots_and_width():
     one_target = T.ScatterIndex(np.zeros(200, dtype=np.int64))
-    assert T._rank_slots(one_target.idx) is None
     assert one_target._plan_for(64, 1) is None
+    # 8 targets of 30 sources: 30 slots of 8 entries, the break-even of
+    # 240 / d at d = 30
+    even = T.ScatterIndex(np.repeat(np.arange(8), 30))
+    assert even._plan_for(30, 8) is not None
+    assert even._plan_for(29, 8) is None
     # a 32-graph batch's pooling segments, 40-80 rows per graph: the plan
     # pays for wide rows but not for a one-column sum (the weighted-mean
     # denominator)
@@ -244,14 +251,20 @@ def test_plan_choice_follows_slots_and_width():
 @pytest.mark.parametrize("side", ["slots", "fallback"])
 def test_scatter_rejects_an_entry_past_its_rows(side):
     idx = (np.arange(40) % 20 if side == "slots" else np.array([0, 19, 1]))
-    assert (T._rank_slots(idx) is None) == (side == "fallback")
-    values = T.constant(np.ones((len(idx), 16)))
     index = T.ScatterIndex(idx)
-    for _ in range(2):  # the planned index checks again
+    assert (index._plan_for(16, 20) is None) == (side == "fallback")
+    values = T.constant(np.ones((len(idx), 16)))
+    for _ in range(2):  # the counted index checks again
         with pytest.raises(ValueError, match=r"entry 19 is out of range "
                                              r"for m=19 rows"):
             T.scatter_sum(values, index, 19)
     assert T.scatter_sum(values, index, 20).shape == (20, 16)
+    negative = idx.copy()
+    negative[1] = -1
+    for index in (T.ScatterIndex(negative), negative):
+        with pytest.raises(ValueError, match=r"entry -1 is out of range "
+                                             r"for m=20 rows"):
+            T.scatter_sum(values, index, 20)
 
 
 @pytest.mark.parametrize("side", ["slots", "fallback"])
@@ -288,10 +301,10 @@ def test_sigmoid_is_within_4_ulp_of_two_branch_form(x):
 
 
 
-def _index_case(rng, n, side):
+def _index_case(rng, n, side, d):
     """An index of length n on the requested side of the slot/fallback
-    choice (slots need n >= 3 * SLOT_WIDTH) and the row count it points
-    into."""
+    choice for values of d <= 3 columns (slots need n >= 720) and the
+    row count it points into."""
     if side == "slots":
         kmax = int(rng.integers(1, 4))
         used = -(-n // kmax)
@@ -301,7 +314,8 @@ def _index_case(rng, n, side):
     else:
         rows = int(rng.integers(1, 10))
         idx = rng.integers(0, rows, size=n)
-    assert (T._rank_slots(idx) is None) == (side == "fallback")
+    planned = T.ScatterIndex(idx)._plan_for(d, rows)
+    assert (planned is None) == (side == "fallback")
     return idx, rows
 
 
@@ -315,11 +329,10 @@ def test_pair_scatter_matches_composed_ops_bitwise(seed, gather_side,
                                                     wrap):
     rng = np.random.default_rng(seed)
     slots = "slots" in (gather_side, target_side)
-    n = int(rng.integers(3 * T.SLOT_WIDTH, 400) if slots
-            else rng.integers(0, 200))
-    idx1, rows = _index_case(rng, n, gather_side)
+    n = int(rng.integers(720, 1000) if slots else rng.integers(0, 200))
+    idx1, rows = _index_case(rng, n, gather_side, d)
     idx2 = rng.permutation(idx1)
-    target, m = _index_case(rng, n, target_side)
+    target, m = _index_case(rng, n, target_side, d)
     values = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(
         -3, 4, size=(rows, d))
     values[rng.random(values.shape) < 0.05] = 0.0
@@ -350,10 +363,32 @@ def test_pair_scatter_refuses_a_second_reverse_pass(act):
         T.backward(out)
 
 
+@pytest.mark.parametrize("act", ["identity", "relu", "logistic"])
+def test_pair_scatter_activates_its_gathered_sum_in_place(act):
+    # a no-graph forward holds at most the gathered sum and its second
+    # gather at once: the activation writes over the sum, not beside it
+    rng = np.random.default_rng(0)
+    n, d, rows, m = 4000, 16, 200, 20
+    z = T.constant(rng.standard_normal((rows, d)))
+    indices = [T.ScatterIndex(rng.integers(0, k, size=n))
+               for k in (rows, rows, m)]
+    with T.no_graph():
+        T.pair_scatter(z, *indices, m, act)  # counts and plans the indices
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            T.pair_scatter(z, *indices, m, act)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2.1 * n * d * 8, peak / (n * d * 8)
+
+
 @pytest.mark.parametrize("act", ["relu", "logistic"])
 def test_standalone_activation_leaves_its_input_and_output(act):
-    # the in-place logistic pair is the fused node's own; the standalone
-    # ops keep their input and output arrays through both passes
+    # only the fused node hands its own buffers to the activation; the
+    # standalone ops keep their input and output arrays through both
+    # passes
     x = leaf(np.random.default_rng(1).standard_normal((5, 2)))
     x_before = x.data.copy()
     y = T.ACTIVATIONS[act](x)
@@ -361,6 +396,14 @@ def test_standalone_activation_leaves_its_input_and_output(act):
     T.backward(T.sum_all(T.hadamard(y, T.constant(np.full((5, 2), 3.0)))))
     assert np.array_equal(x.data, x_before)
     assert np.array_equal(y.data, y_before)
+
+
+@pytest.mark.parametrize("entry", [5, 2, -1])
+def test_segment_min_rejects_an_entry_outside_its_segments(entry):
+    x = leaf([[3.0], [2.0], [-9.0]])
+    with pytest.raises(ValueError, match=rf"segment entry {entry} is out "
+                                         rf"of range for m=2 rows"):
+        T.segment_min(x, np.array([0, 1, entry]), 2)
 
 
 def test_segment_min_routes_gradient_to_argmin_only():
