@@ -102,7 +102,6 @@ def stratified_holdout(indices, labels, fraction, rng):
     held = []
     for cls in np.unique(labels[indices]):
         idx = indices[labels[indices] == cls]
-        idx = idx.copy()
         rng.shuffle(idx)
         take = max(1, int(round(fraction * len(idx))))
         held.extend(idx[:take].tolist())
@@ -289,9 +288,13 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     """Full cross-validation; returns FoldResults sorted by
     (fold, repeat) regardless of worker count. Every fold's split is
     built and checked before any unit is prepared."""
+    if not np.isin(labels, (0, 1)).all():  # before the cast turns 0.5 to 0
+        raise ValueError(f"labels must be 0 or 1, got {np.unique(labels)}")
     labels = np.asarray(labels, dtype=np.int64)
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
+    if not 0 < config.holdout < 1:
+        raise ValueError(f"holdout must lie in (0, 1), got {config.holdout}")
     _require_positive(epochs=config.epochs, batch_size=config.batch_size,
                       repeats=config.repeats, patience=config.patience,
                       workers=config.workers)

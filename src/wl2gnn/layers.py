@@ -228,18 +228,18 @@ def pool_segments(z, mode, seg, n_graphs, scores=None):
     `ScatterIndex`.
     """
     index = T.as_index(seg)
-    seg = index.idx
+    if len(index) != z.shape[0]:
+        raise ValueError(f"{len(index)} segment entries for {z.shape[0]} rows")
+    counts, seg = index.counts(n_graphs, "segment"), index.idx
     if mode == "sum":
         return T.scatter_sum(z, index, n_graphs)
     if mode == "mean":
-        total = T.scatter_sum(z, index, n_graphs)  # checks the entries
-        counts = np.bincount(seg, minlength=n_graphs).astype(np.float64)
         if np.any(counts == 0):
             raise ValueError("cannot mean-pool an empty graph segment")
         inv = constant((1.0 / counts).reshape(-1, 1))
-        return T.hadamard(total, inv)
+        return T.hadamard(T.scatter_sum(z, index, n_graphs), inv)
     if mode == "min":
-        return T.segment_min(z, seg, n_graphs)
+        return T.segment_min(z, index, n_graphs)
     if mode == "weighted_mean":
         if scores is None:
             raise ValueError("weighted_mean pooling needs scores")
@@ -283,8 +283,8 @@ def validate_model_spec(spec):
         raise ValueError(f"unknown activation {spec.act!r}")
     if spec.t < 1 or spec.d < 1 or spec.r < 1:
         raise ValueError("t, d and r must be positive")
-    if spec.lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < spec.lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {spec.lr}")
     return spec
 
 
@@ -298,12 +298,12 @@ def parse_model_spec(text):
     `layer=wl2,T=3,d=32,r=2,pool=mean,act=relu,lr=0.001`. Fields take
     their names, types and defaults from `ModelSpec`; `T` is `t`."""
     given = {}
-    for part in text.replace(" ", ",").split(","):
-        if not part:
-            continue
+    for part in filter(None, text.replace(" ", ",").split(",")):
         if "=" not in part:
             raise ValueError(f"malformed spec field {part!r}")
         key, value = part.split("=", 1)
+        if key in given or key in ("t", "T") and given.keys() & {"t", "T"}:
+            raise ValueError(f"spec field {key} is given twice")
         given[key] = value
     unknown = given.keys() - {f.name for f in fields(ModelSpec)} - {"T"}
     if unknown:

@@ -20,9 +20,10 @@ node raises. Every activation is one array pair, `forward(x, out=None)`
 and `adjoint(g, y, scratch=None)`, shared by the standalone op and the
 fused node, which alone passes its own buffers as `out` and `scratch`.
 
-Scatter-sums (`scatter_sum`, and the adjoint of `gather`) run through a
-`ScatterIndex`, which counts its entries on its first sum. The count
-gives the range check and the one plan rule: values of d columns take
+Every row index (a gather's, a scatter's, a pooling's) is a
+`ScatterIndex`, whose one count `counts(m)` is its range check (a
+`ValueError` naming an entry outside 0..m-1 before a row is read) and
+gives every scatter-sum its one plan rule: values of d columns take
 the busiest-first prefix plan where its slots average at least
 `SLOT_COST / d` entries, and `np.add.at` otherwise (one pooled graph,
 hub vertices, a one-column sum). Targets are ranked by source count,
@@ -34,12 +35,10 @@ Each target adds its sources in index order, starting from +0.0, so the
 sum equals `np.add.at` bit for bit. The accumulator is a buffer that
 the index keeps for its later sums, so a planned sum allocates its
 output and one slot's rows at a time, no more than `np.add.at` would. A
-sorted index needs no argsort to find its sources' order. A negative
-entry, an entry not below the output's row count, or values whose row
-count is not the index's length, raise `ValueError`. Batches hold their
-indices as `ScatterIndex`es, so every layer of a forward and backward
-pass shares one count and one plan per index; a plain array is wrapped
-afresh on each call.
+sorted index needs no argsort to find its sources' order. Batches hold
+their indices as `ScatterIndex`es, so every layer of a forward and
+backward pass shares one count and one plan per index; a plain array is
+wrapped afresh on each call.
 
 Inside `with no_graph():` ops record nothing: every node they build has
 no parents, no backward closure and no gradient, so a forward pass that
@@ -168,14 +167,6 @@ def scale(a, alpha):
 SLOT_COST = 240
 
 
-def _check_entries(idx, m, name):
-    """Raises `ValueError` naming the first entry of idx outside 0..m-1."""
-    bad = idx[(idx < 0) | (idx >= m)]
-    if bad.size:
-        raise ValueError(f"{name} entry {bad[0]} is out of range for "
-                         f"m={m} rows")
-
-
 def _rank_slots(idx, counts):
     """The busiest-first prefix plan of a non-empty index whose entries
     count `counts` (its bincount), as (pos, sources). Targets are ranked
@@ -211,16 +202,21 @@ class ScatterIndex:
     def __len__(self):
         return self.idx.shape[0]
 
+    def counts(self, m, name="scatter index"):
+        """Entries per row of m rows, kept until m changes (which drops
+        the plan); a `ValueError` names the first entry outside 0..m-1."""
+        if self._counts is None or len(self._counts) != m:
+            if len(self) and (self.idx.min() < 0 or self.idx.max() >= m):
+                bad = self.idx[(self.idx < 0) | (self.idx >= m)]
+                raise ValueError(f"{name} entry {bad[0]} is out of range "
+                                 f"for m={m} rows")
+            self._counts, self._plan = np.bincount(self.idx, minlength=m), None
+        return self._counts
+
     def _plan_for(self, d, m):
-        """The prefix plan for values of d columns, or None where its
-        slots average fewer than SLOT_COST / d entries. Raises
-        `ValueError` naming an entry that is negative or not below m."""
-        counts = self._counts
-        if counts is None or len(counts) > m:
-            # checked before the count, which a stray entry would size;
-            # a counted index reaches len(counts) rows, so this raises
-            _check_entries(self.idx, m, "scatter index")
-            counts = self._counts = np.bincount(self.idx)
+        """The prefix plan for values of d columns into m rows, or None
+        where its slots average fewer than SLOT_COST / d entries."""
+        counts = self.counts(m)
         if not len(self) or counts.max() * SLOT_COST > len(self) * d:
             return None
         if self._plan is None:
@@ -257,8 +253,6 @@ class ScatterIndex:
         acc[k] = 0.0
         for src in sources[1:]:
             acc[:len(src)] += np.take(values, src, axis=0)
-        if m > len(pos):
-            pos = np.concatenate((pos, np.full(m - len(pos), k)))
         return np.take(acc, pos, axis=0)
 
 
@@ -271,6 +265,7 @@ def gather(z, idx):
     """Rows of z at the given indices (an int array or a `ScatterIndex`);
     the adjoint scatters back."""
     index = as_index(idx)
+    index.counts(z.shape[0])  # the range check, before numpy wraps -1
 
     def bw(g):
         z._accumulate(index.sum_rows(g, z.shape[0]))
@@ -290,31 +285,30 @@ def scatter_sum(x, idx, m):
 
 
 def segment_min(x, seg, n_segments):
-    """Columnwise minimum per segment; every segment must be non-empty,
-    and an entry of `seg` outside 0..n_segments-1 raises `ValueError`.
+    """Columnwise minimum per segment; `seg` (an int array or a
+    `ScatterIndex`) must put each row of x in one of n_segments
+    segments, none of them empty, or `ValueError` is raised.
 
     The adjoint routes each output gradient to the first row attaining
     the minimum in its segment.
     """
-    seg = np.asarray(seg, dtype=np.int64)
-    _check_entries(seg, n_segments, "segment")
-    out = np.empty((n_segments, x.shape[1]))
+    index = as_index(seg)
+    if len(index) != x.shape[0]:
+        raise ValueError(f"{len(index)} segment entries for {x.shape[0]} rows")
+    empty = np.flatnonzero(index.counts(n_segments, "segment") == 0)
+    if empty.size:
+        raise ValueError(f"segment {empty[0]} is empty")
     argrows = np.empty((n_segments, x.shape[1]), dtype=np.int64)
     for b in range(n_segments):
-        rows = np.flatnonzero(seg == b)
-        if rows.size == 0:
-            raise ValueError(f"segment {b} is empty")
-        block = x.data[rows]
-        pick = block.argmin(axis=0)
-        out[b] = block[pick, np.arange(x.shape[1])]
-        argrows[b] = rows[pick]
+        rows = np.flatnonzero(index.idx == b)
+        argrows[b] = rows[x.data[rows].argmin(axis=0)]
+    cols = np.arange(x.shape[1])
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        for b in range(n_segments):
-            np.add.at(gx, (argrows[b], np.arange(x.shape[1])), g[b])
+        np.add.at(gx, (argrows, cols), g)
         x._accumulate(gx)
-    return _node(out, (x,), bw)
+    return _node(x.data[argrows, cols], (x,), bw)
 
 
 def _sigmoid(x, out=None):
@@ -389,6 +383,8 @@ def pair_scatter(z, idx1, idx2, target, m, act):
     key of `ACTIVATIONS`."""
     forward, adjoint = _ACTIVATION_ARRAYS[act]
     index1, index2, target = as_index(idx1), as_index(idx2), as_index(target)
+    index1.counts(z.shape[0])  # the range checks, as in `gather`
+    index2.counts(z.shape[0])
     x = z.data[index1.idx]
     x += z.data[index2.idx]
     # x and y are this node's own buffers, so no other reader sees them

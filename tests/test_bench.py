@@ -328,7 +328,9 @@ def test_run_cv_skips_selection_for_one_spec(monkeypatch):
     assert _without_seconds(one) == _without_seconds(two)
 
 
-def test_run_cv_input_validation():
+def test_run_cv_input_validation(monkeypatch):
+    # every input is checked before any unit is prepared
+    monkeypatch.setattr(bench, "_unit_cache", None)
     graphs, labels = separable_dataset(8)
     with pytest.raises(ValueError):
         run_cv(graphs, labels[:-1], [BASELINE], quick_config())
@@ -338,6 +340,17 @@ def test_run_cv_input_validation():
         run_cv(graphs, labels,
                [ModelSpec(layer="baseline", t=1, d=4, r=1, pool="min",
                           act="relu", lr=1e-2)], quick_config())
+    # the loss is a binary cross-entropy, so labels are 0 or 1
+    for bad, shown in ((labels * 2, r"\[0 2\]"),
+                       (labels * 0.5, r"\[0. +0.5\]")):
+        with pytest.raises(ValueError, match=rf"labels must be 0 or 1, "
+                                             rf"got {shown}"):
+            run_cv(graphs, bad, [BASELINE], quick_config(folds=2))
+    for holdout in (np.nan, -1.0, 0.0, 1.0):
+        with pytest.raises(ValueError, match=rf"holdout must lie in \(0, 1\), "
+                                             rf"got {holdout}"):
+            run_cv(graphs, labels, [BASELINE],
+                   quick_config(folds=2, holdout=holdout))
 
 
 def test_run_cv_rejects_counts_below_one(monkeypatch):
@@ -352,7 +365,7 @@ def test_run_cv_rejects_counts_below_one(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=3),
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=2),
        st.integers(0, 14), st.sampled_from([0.1, 0.25, 0.5]))
 def test_run_cv_folds_are_feasible_or_rejected_up_front(counts, folds, holdout):
     """Either `run_cv` rejects the folds with its own message before any
@@ -804,8 +817,12 @@ def test_cli_gen_triangle_makes_its_directory_before_it_generates(
     ("layer=wl2,pool=min\n", "min pooling is a demonstration mode"),
     ("layer=wl2,d=x\n", "spec field d must be int, got 'x'"),
     ("layer=wl2,r=0\n", "t, d and r must be positive"),
+    ("layer=wl2,lr=nan\n", "lr must be positive and finite, got nan"),
+    ("layer=wl2,lr=inf\n", "lr must be positive and finite, got inf"),
+    ("layer=wl2,d=4,d=8\n", "spec field d is given twice"),
+    ("layer=wl2,T=3,t=4\n", "spec field t is given twice"),
 ], ids=["missing", "malformed", "empty", "min-pool", "bad-value",
-        "radius-zero"])
+        "radius-zero", "lr-nan", "lr-inf", "repeated-field", "t-and-T"])
 def test_cli_cv_checks_the_grid_before_the_dataset(tmp_path, capsys,
                                                     monkeypatch, grid,
                                                     message):

@@ -310,12 +310,16 @@ def test_mean_pool_rejects_empty_segment():
         pool_segments(z, "mean", np.array([0, 2]), 3)
 
 
-@pytest.mark.parametrize("mode", ["sum", "mean", "min"])
+@pytest.mark.parametrize("mode", ["sum", "mean", "min", "weighted_mean"])
 @pytest.mark.parametrize("entry", [5, -1])
 def test_pooling_rejects_a_segment_entry_outside_its_graphs(mode, entry):
     z = constant(np.array([[3.0], [2.0], [-9.0]]))
+    scores = constant(np.zeros((3, 1)))
     with pytest.raises(ValueError, match=rf"entry {entry} is out of range"):
-        pool_segments(z, mode, np.array([0, 1, entry]), 2)
+        pool_segments(z, mode, np.array([0, 1, entry]), 2, scores=scores)
+    # a seg shorter than the rows would leave row 2 in no graph
+    with pytest.raises(ValueError, match="2 segment entries for 3 rows"):
+        pool_segments(z, mode, np.array([0, 1]), 2, scores=scores)
 
 
 def test_min_pool_separates_prop_4_5_values():
@@ -351,7 +355,7 @@ def test_model_spec_validation_errors():
 
 def test_parse_model_spec_takes_model_spec_defaults():
     assert parse_model_spec("") == ModelSpec()
-    assert parse_model_spec("d=8,t=2,T=5") == ModelSpec(t=5, d=8)
+    assert parse_model_spec("d=8,T=5") == ModelSpec(t=5, d=8)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -359,6 +363,11 @@ def test_parse_model_spec_takes_model_spec_defaults():
     ("T=2.5", "spec field T must be int, got '2.5'"),
     ("lr=fast", "spec field lr must be float, got 'fast'"),
     ("r=", "spec field r must be int, got ''"),
+    ("lr=nan", "lr must be positive and finite, got nan"),
+    ("lr=inf", "lr must be positive and finite, got inf"),
+    ("d=4,d=8", "spec field d is given twice"),
+    ("T=3,t=4", "spec field t is given twice"),
+    ("d=8,t=2,T=5", "spec field T is given twice"),
 ])
 def test_parse_model_spec_names_the_field_it_cannot_read(text, message):
     with pytest.raises(ValueError) as err:

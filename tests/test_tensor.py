@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,25 @@ def test_gather_and_scatter_roundtrip_on_identity_index():
     idx = np.array([0, 1, 2])
     assert np.array_equal(T.gather(z, idx).data, z.data)
     assert np.array_equal(T.scatter_sum(T.gather(z, idx), idx, 3).data, z.data)
+
+
+@pytest.mark.parametrize("entry", [-1, 3])
+@pytest.mark.parametrize("op", ["gather", "pair-first", "pair-second"])
+def test_gathers_reject_an_entry_outside_their_rows(op, entry):
+    # numpy indexing would wrap -1 to the last row and raise IndexError
+    # for 3; the forward names the entry, with or without a graph
+    z = leaf(np.arange(6.0).reshape(3, 2))
+    gathers = {
+        "gather": lambda: T.gather(z, np.array([entry])),
+        "pair-first": lambda: T.pair_scatter(z, [entry], [0], [0], 1,
+                                             "identity"),
+        "pair-second": lambda: T.pair_scatter(z, [0], [entry], [0], 1,
+                                              "identity"),
+    }
+    for graph in (T.no_graph(), contextlib.nullcontext()):
+        with graph, pytest.raises(ValueError, match=rf"entry {entry} is out "
+                                                    rf"of range for m=3 rows"):
+            gathers[op]()
 
 
 def test_scatter_sum_accumulates_duplicates():
@@ -214,7 +234,10 @@ def test_prefix_plan_edges_match_add_at_bitwise(case, sort):
     # slot s holds each one's s-th source in index order
     ranked = np.argsort(-counts, kind="stable")[:widths[0]]
     assert np.array_equal(pos[ranked], np.arange(widths[0]))
-    assert np.all(pos[counts == 0] == widths[0])
+    # pos covers all m rows; every row without sources reads the zero row
+    assert len(pos) == m
+    assert np.all(pos[:len(counts)][counts == 0] == widths[0])
+    assert np.all(pos[len(counts):] == widths[0])
     for s, src in enumerate(sources):
         assert np.array_equal(
             src, [np.flatnonzero(idx == t)[s] for t in ranked[:len(src)]])
@@ -404,6 +427,9 @@ def test_segment_min_rejects_an_entry_outside_its_segments(entry):
     with pytest.raises(ValueError, match=rf"segment entry {entry} is out "
                                          rf"of range for m=2 rows"):
         T.segment_min(x, np.array([0, 1, entry]), 2)
+    # a seg shorter than the rows would leave row 2 in no segment
+    with pytest.raises(ValueError, match="2 segment entries for 3 rows"):
+        T.segment_min(x, np.array([0, 1]), 2)
 
 
 def test_segment_min_routes_gradient_to_argmin_only():
