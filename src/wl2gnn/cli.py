@@ -29,6 +29,10 @@ from .layers import parse_model_spec
 
 # the one spec `cv` runs without a grid file, at the dataset's radius
 DEFAULT_GRID = "layer=wl2,T=3,d=32,r={r},pool=mean,act=logistic,lr=0.001"
+# the `TrainConfig` fields that `cv` takes as integer flags, with their
+# names and defaults
+CV_FIELDS = ("seed", "epochs", "patience", "batch_size", "folds", "repeats",
+             "workers")
 
 
 def _print_warnings(warnings):
@@ -59,10 +63,7 @@ def _cmd_cv(args):
         lines = [DEFAULT_GRID.format(r=DEFAULT_RADII.get(name, 1))]
     grid = check_grid([parse_model_spec(ln) for ln in lines])
     graphs, labels = load_tu_dataset(args.dataset)
-    config = TrainConfig(epochs=args.epochs, patience=args.patience,
-                         batch_size=args.batch_size, seed=args.seed,
-                         folds=args.folds, repeats=args.repeats,
-                         workers=args.workers)
+    config = TrainConfig(**{name: getattr(args, name) for name in CV_FIELDS})
     results = run_cv(graphs, labels, grid, config, dataset=name,
                      out_path=args.out)
     accs = [r.test_acc for r in results]
@@ -92,16 +93,13 @@ def _cmd_triangle(args):
     sizes = [g.n for g in graphs]
     print(f"{len(graphs)} graphs (n {min(sizes)}..{max(sizes)}, "
           f"mean {np.mean(sizes):.1f}), generated in {time.time() - t0:.0f}s")
-    # criterion 9's split and training seeds
-    seeds = (0, 1, 2)
-    runs = triangle_experiment(graphs, labels, seeds=seeds, split_seed=123,
-                               train_fraction=0.2)
+    runs = triangle_experiment(graphs, labels)
     for layer, family in runs.items():
-        for seed, (train, test, trained) in zip(seeds, family):
+        for seed, (train, test, trained) in family.items():
             print(f"  {layer} seed {seed}: train {train:.3f} test {test:.3f} "
                   f"({trained.epochs} epochs, {trained.seconds:.0f}s)")
         print(f"{layer}: mean test "
-              f"{np.mean([test for _, test, _ in family]):.3f}")
+              f"{np.mean([test for _, test, _ in family.values()]):.3f}")
     return 0
 
 
@@ -157,13 +155,9 @@ def build_parser():
     p.add_argument("--dataset", required=True,
                    help="directory with a TU-format dataset")
     p.add_argument("--grid-file", help="file with one model spec per line")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    for name in CV_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=int,
+                       default=getattr(TrainConfig, name))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_cv)
 

@@ -362,49 +362,46 @@ def generate_triangle_dataset(seed, config=None):
             n_b = n - n_a
             for density in config.densities:
                 m_target = int(round(density * n * n / 2))
-                cell_graphs = {0: [], 1: []}
-                failed = []
+                # each class cell's graphs; a cell that fails has a warning
+                filled = {}
                 for planted in (0, 1):
                     cell = (f"n={n} prop={prop[0]:g}/{prop[1]:g} "
                             f"density={density:g} class={'AB'[planted]}")
                     if (planted == 0 and n_a < 3) or (planted == 1 and n_b < 3):
                         warnings.append(f"skipped {cell}: fewer than 3 vertices "
                                         "of the planted color")
-                        failed.append(planted)
                         continue
                     if not 3 <= m_target <= len(pair_i):
                         warnings.append(f"skipped {cell}: edge target {m_target} "
                                         "out of range")
-                        failed.append(planted)
                         continue
-                    attempts = 0
-                    while len(cell_graphs[planted]) < config.samples_per_cell \
+                    cell_graphs, attempts = [], 0
+                    while len(cell_graphs) < config.samples_per_cell \
                             and attempts < config.max_attempts_per_cell:
                         attempts += 1
                         g = _sample_triangle_graph(rng, n, n_a, m_target,
                                                    planted, pair_i, pair_j,
                                                    pair_code)
                         if g is not None:
-                            cell_graphs[planted].append(g)
-                    if len(cell_graphs[planted]) < config.samples_per_cell:
-                        warnings.append(f"skipped {cell}: "
-                                        f"{len(cell_graphs[planted])}/"
+                            cell_graphs.append(g)
+                    if len(cell_graphs) < config.samples_per_cell:
+                        warnings.append(f"skipped {cell}: {len(cell_graphs)}/"
                                         f"{config.samples_per_cell} samples after "
                                         f"{attempts} attempts")
-                        failed.append(planted)
-                if failed:
-                    dropped = [c for c in (0, 1)
-                               if c not in failed and cell_graphs[c]]
+                        continue
+                    filled[planted] = cell_graphs
+                if len(filled) < 2:
+                    dropped = "".join("AB"[c] for c, kept in filled.items()
+                                      if kept)
                     if dropped:
                         warnings.append(
                             f"dropped n={n} prop={prop[0]:g}/{prop[1]:g} "
-                            f"density={density:g} class="
-                            f"{''.join('AB'[c] for c in dropped)}: "
+                            f"density={density:g} class={dropped}: "
                             "sibling class cell failed")
                     continue
-                for planted in (0, 1):
-                    graphs.extend(cell_graphs[planted])
-                    labels.extend([planted] * len(cell_graphs[planted]))
+                for planted, cell_graphs in filled.items():
+                    graphs.extend(cell_graphs)
+                    labels.extend([planted] * len(cell_graphs))
     return graphs, np.asarray(labels, dtype=np.int64), warnings
 
 

@@ -274,6 +274,16 @@ class ModelSpec:
     lr: float = 1e-3
 
 
+def check_counts(**counts):
+    """Raises `ValueError` naming the first count that is not an integer
+    or is below 1."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def validate_model_spec(spec):
     if spec.layer not in FAMILIES:
         raise ValueError(f"unknown layer type {spec.layer!r}")
@@ -281,8 +291,7 @@ def validate_model_spec(spec):
         raise ValueError(f"unknown pooling mode {spec.pool!r}")
     if spec.act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {spec.act!r}")
-    if spec.t < 1 or spec.d < 1 or spec.r < 1:
-        raise ValueError("t, d and r must be positive")
+    check_counts(t=spec.t, d=spec.d, r=spec.r)
     if not 0 < spec.lr < np.inf:
         raise ValueError(f"lr must be positive and finite, got {spec.lr}")
     return spec

@@ -34,8 +34,8 @@ take(values, src_s)`; one last take puts the rows back in target order.
 Each target adds its sources in index order, starting from +0.0, so the
 sum equals `np.add.at` bit for bit. The accumulator is a buffer that
 the index keeps for its later sums, so a planned sum allocates its
-output and one slot's rows at a time, no more than `np.add.at` would. A
-sorted index needs no argsort to find its sources' order. Batches hold
+output and one slot's rows at a time, no more than `np.add.at` would.
+One stable argsort of the index finds its sources' order. Batches hold
 their indices as `ScatterIndex`es, so every layer of a forward and
 backward pass shares one count and one plan per index; a plain array is
 wrapped afresh on each call.
@@ -182,9 +182,8 @@ def _rank_slots(idx, counts):
     pos = np.full(len(counts), widths[0])
     pos[rank[:widths[0]]] = np.arange(widths[0])
     starts = (np.cumsum(counts) - counts)[rank[:widths[0]]]
-    # a sorted index lists each target's sources in index order already
-    order = (np.arange(idx.size) if np.all(idx[1:] >= idx[:-1])
-             else np.argsort(idx, kind="stable"))
+    # each target's sources in index order
+    order = np.argsort(idx, kind="stable")
     return pos, [order[starts[:k] + s] for s, k in enumerate(widths)]
 
 

@@ -142,13 +142,17 @@ def test_train_model_rejects_non_finite_losses():
 
 
 def test_train_model_rejects_counts_below_one():
+    # and counts that are not integers, in the config or the spec
     graphs, labels = separable_dataset(8)
     units = prepare_units(BASELINE, graphs)
-    for field in ("epochs", "batch_size"):
-        for value in (0, -1):
-            with pytest.raises(ValueError, match=f"{field} must be at least 1"):
-                train_model(BASELINE, units, labels,
-                            TrainConfig(**{field: value}), seed=0)
+    cases = [(BASELINE, {field: value}, f"{field} must be at least 1")
+             for field in ("epochs", "batch_size") for value in (0, -1)]
+    cases += [(BASELINE, {"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+              (ModelSpec(layer="baseline", d=2.5), {},
+               "d must be an integer, got 2.5")]
+    for spec, fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            train_model(spec, units, labels, TrainConfig(**fields), seed=0)
 
 
 def test_train_model_target_needs_a_validation_set():
@@ -354,14 +358,18 @@ def test_run_cv_input_validation(monkeypatch):
 
 
 def test_run_cv_rejects_counts_below_one(monkeypatch):
-    # the counts are checked before any unit is prepared
+    # and counts that are not integers; all are checked before any unit
+    # is prepared
     monkeypatch.setattr(bench, "_unit_cache", None)
     graphs, labels = separable_dataset(8)
-    for field in ("epochs", "batch_size", "repeats"):
-        for value in (0, -1):
-            with pytest.raises(ValueError, match=f"{field} must be at least 1"):
-                run_cv(graphs, labels, [BASELINE],
-                       quick_config(folds=2, **{field: value}))
+    cases = [({field: value}, f"{field} must be at least 1")
+             for field in ("epochs", "batch_size", "repeats")
+             for value in (0, -1)]
+    cases.append(({"folds": 2.5}, "folds must be an integer, got 2.5"))
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_cv(graphs, labels, [BASELINE],
+                   quick_config(**{"folds": 2, **fields}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -720,6 +728,16 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
     assert not out.exists()
 
 
+def test_cli_cv_flags_default_to_train_config():
+    fields = ("seed", "epochs", "patience", "batch_size", "folds", "repeats",
+              "workers")
+    base = ["cv", "--dataset", "D", "--out", "O"]
+    args = build_parser().parse_args(base)
+    assert TrainConfig(**{f: getattr(args, f) for f in fields}) == TrainConfig()
+    assert build_parser().parse_args(base + ["--batch-size", "8"]).batch_size \
+        == 8
+
+
 def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
     # TOY has no default radius, so the default spec runs at r=1
     graphs, labels = separable_dataset(12)
@@ -816,7 +834,7 @@ def test_cli_gen_triangle_makes_its_directory_before_it_generates(
     ("# no specs\n\n", "empty model grid"),
     ("layer=wl2,pool=min\n", "min pooling is a demonstration mode"),
     ("layer=wl2,d=x\n", "spec field d must be int, got 'x'"),
-    ("layer=wl2,r=0\n", "t, d and r must be positive"),
+    ("layer=wl2,r=0\n", "r must be at least 1, got 0"),
     ("layer=wl2,lr=nan\n", "lr must be positive and finite, got nan"),
     ("layer=wl2,lr=inf\n", "lr must be positive and finite, got inf"),
     ("layer=wl2,d=4,d=8\n", "spec field d is given twice"),
