@@ -25,25 +25,24 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
-from .graphs import circulant_graph
-from .layers import (ModelSpec, check_counts, combine_units,
-                     format_model_spec, forward_model, init_model_params,
-                     input_width, prepare_units, validate_model_spec)
-
-RESULT_COLUMNS = ("dataset", "model", "params", "fold", "repeat",
-                  "train_acc", "test_acc", "epochs", "seconds")
+from .graphs import check_counts, circulant_graph
+from .layers import (ModelSpec, combine_units, format_model_spec,
+                     forward_model, init_model_params, input_width,
+                     prepare_units)
 
 # power radii that keep the encodings of the common corpora tractable
 DEFAULT_RADII = {"TRIANGLE": 2, "NCI1": 8, "PROTEINS": 5, "DD": 2,
                  "REDDIT-B": 1, "IMDB-B": 4}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Construction checks every field but `folds` (`run_cv` does)."""
     epochs: int = 200
     patience: int = 20
     batch_size: int = 32
@@ -57,6 +56,13 @@ class TrainConfig:
     # halve the learning rate whenever the validation loss has not
     # improved for lr_patience epochs; 0 disables the schedule
     lr_patience: int = 0
+
+    def __post_init__(self):
+        check_counts(epochs=self.epochs, batch_size=self.batch_size,
+                     repeats=self.repeats, patience=self.patience,
+                     workers=self.workers)
+        if not 0 < self.holdout < 1:
+            raise ValueError(f"holdout must lie in (0, 1), got {self.holdout}")
 
 
 @dataclass
@@ -159,8 +165,6 @@ def train_model(spec, units, labels, config, seed,
     reaches `config.target_acc`, else early-stops on the loss and
     restores the best epoch's weights. Returns them with their score.
     A non-finite training or validation loss raises `ValueError`."""
-    validate_model_spec(spec)
-    check_counts(epochs=config.epochs, batch_size=config.batch_size)
     _require_labelled(units, labels, "units")
     if val_units is not None:
         _require_labelled(val_units, val_labels, "val_units")
@@ -265,9 +269,9 @@ def _run_fold(cache, labels, grid, config, dataset, fold, split):
 
 
 def check_grid(grid):
-    """The grid's specs, validated; raises `ValueError` for an empty grid
+    """The grid's specs as a list; raises `ValueError` for an empty grid
     or a spec with min pooling."""
-    grid = [validate_model_spec(s) for s in grid]
+    grid = list(grid)
     if not grid:
         raise ValueError("empty model grid")
     for spec in grid:
@@ -286,8 +290,6 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     labels = np.asarray(labels, dtype=np.int64)
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
-    if not 0 < config.holdout < 1:
-        raise ValueError(f"holdout must lie in (0, 1), got {config.holdout}")
     # more folds than a class has graphs leaves test folds without that
     # class, or empty
     smallest = min(np.unique(labels, return_counts=True)[1], default=0)
@@ -295,10 +297,8 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
         raise ValueError(f"cannot split into {config.folds} stratified folds: "
                          f"need at least 2 and at most the smallest class "
                          f"count ({smallest})")
-    # folds too, since 2.5 lies in that range
-    check_counts(epochs=config.epochs, batch_size=config.batch_size,
-                 repeats=config.repeats, patience=config.patience,
-                 workers=config.workers, folds=config.folds)
+    # an integer too, since 2.5 lies in that range
+    check_counts(folds=config.folds)
     grid = check_grid(grid)
     # the fold's own generator draws the holdout, even for a one-spec grid
     # (retraining early-stops on it), and then the selection seeds
@@ -377,31 +377,29 @@ def triangle_experiment(graphs, labels):
 # results interchange
 
 
-def write_results_csv(results, path):
+def _write_records(kind, records, path, decimals):
+    """Writes `kind` records as CSV, floats to `decimals` places."""
+    types = get_type_hints(kind)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            writer.writerow([r.dataset, r.model, r.params, r.fold, r.repeat,
-                             f"{r.train_acc:.6f}", f"{r.test_acc:.6f}",
-                             r.epochs, f"{r.seconds:.6f}"])
+        writer.writerow(types)
+        writer.writerows([f"{getattr(r, k):.{decimals}f}" if t is float
+                          else getattr(r, k) for k, t in types.items()]
+                         for r in records)
+
+
+def write_results_csv(results, path):
+    _write_records(FoldResult, results, path, 6)
 
 
 def read_results_csv(path):
-    results = []
+    types = get_type_hints(FoldResult)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != RESULT_COLUMNS:
+        if tuple(reader.fieldnames or ()) != tuple(types):
             raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            results.append(FoldResult(
-                dataset=row["dataset"], model=row["model"],
-                params=int(row["params"]), fold=int(row["fold"]),
-                repeat=int(row["repeat"]),
-                train_acc=float(row["train_acc"]),
-                test_acc=float(row["test_acc"]),
-                epochs=int(row["epochs"]), seconds=float(row["seconds"])))
-    return results
+        return [FoldResult(**{k: t(row[k]) for k, t in types.items()})
+                for row in reader]
 
 
 @dataclass
@@ -464,11 +462,7 @@ def _random_regular_circulant(rng, n, d):
 
 
 def write_timing_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "d", "r", "gamma", "epoch_seconds"))
-        for r in rows:
-            writer.writerow([r.n, r.d, r.r, r.gamma, f"{r.epoch_seconds:.9f}"])
+    _write_records(TimingRow, rows, path, 9)
 
 
 def loglog_slope(x, y):
@@ -567,7 +561,7 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
     d-regular circulant and lists that leave a fit fewer than two distinct
     x raise `ValueError` before either sweep runs. Both sweeps run with
     numpy's bundled OpenBLAS on one thread (`_one_blas_thread`)."""
-    spec = validate_model_spec(ModelSpec(layer="wl2", t=1, d=8, r=r))
+    spec = ModelSpec(layer="wl2", t=1, d=8, r=r)
     check_counts(n_graphs=n_graphs, epochs=epochs)
     for name, values in (("n_list", n_list), ("d_list", d_list)):
         if len(values) == 0:

@@ -25,10 +25,8 @@ from .bench import (DEFAULT_RADII, TrainConfig, check_grid, foldwise_deltas,
                     triangle_experiment, write_timing_csv)
 from .graphs import GraphError, TriangleConfig, generate_triangle_dataset, \
     load_tu_dataset, save_tu_dataset
-from .layers import parse_model_spec
+from .layers import ModelSpec, parse_model_spec
 
-# the one spec `cv` runs without a grid file, at the dataset's radius
-DEFAULT_GRID = "layer=wl2,T=3,d=32,r={r},pool=mean,act=logistic,lr=0.001"
 # the `TrainConfig` fields that `cv` takes as integer flags, with their
 # names and defaults
 CV_FIELDS = ("seed", "epochs", "patience", "batch_size", "folds", "repeats",
@@ -51,19 +49,19 @@ def _check_out_dir(path):
 
 
 def _cmd_cv(args):
-    # the output directory and the grid are checked before the dataset
-    # is loaded
+    # the output directory, the grid and the flags are checked before the
+    # dataset is loaded
     _check_out_dir(args.out)
     name = os.path.basename(args.dataset.rstrip("/"))
     if args.grid_file:
         with open(args.grid_file) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()
-                     and not ln.lstrip().startswith("#")]
+            grid = [parse_model_spec(ln.strip()) for ln in fh if ln.strip()
+                    and not ln.lstrip().startswith("#")]
     else:
-        lines = [DEFAULT_GRID.format(r=DEFAULT_RADII.get(name, 1))]
-    grid = check_grid([parse_model_spec(ln) for ln in lines])
-    graphs, labels = load_tu_dataset(args.dataset)
+        grid = [ModelSpec(r=DEFAULT_RADII.get(name, 1))]
+    grid = check_grid(grid)
     config = TrainConfig(**{name: getattr(args, name) for name in CV_FIELDS})
+    graphs, labels = load_tu_dataset(args.dataset)
     results = run_cv(graphs, labels, grid, config, dataset=name,
                      out_path=args.out)
     accs = [r.test_acc for r in results]

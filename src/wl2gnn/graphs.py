@@ -29,6 +29,16 @@ class GraphError(ValueError):
     """Raised for structurally invalid graphs or malformed dataset files."""
 
 
+def check_counts(**counts):
+    """Raises `ValueError` naming the first count that is not an integer
+    or is below 1."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _as_features(arr, rows, what):
     if arr is None:
         return np.zeros((rows, 0), dtype=np.float64)
@@ -259,7 +269,7 @@ def edge_neighborhood_graph(g):
 # triangle detection benchmark
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangleConfig:
     """Parameter grid for the synthetic triangle dataset.
 
@@ -269,7 +279,7 @@ class TriangleConfig:
     count over n^2 with edges counted in both directions, so the
     undirected edge target is round(density * n^2 / 2). Cells that are
     structurally infeasible or exhaust `max_attempts_per_cell` draws are
-    skipped with a warning.
+    skipped with a warning. A count that is not an integer >= 1 raises.
     """
 
     vertex_counts: tuple = tuple(range(6, 33))
@@ -277,6 +287,12 @@ class TriangleConfig:
     densities: tuple = (0.25, 0.5)
     samples_per_cell: int = 3
     max_attempts_per_cell: int = 10_000
+
+    def __post_init__(self):
+        check_counts(samples_per_cell=self.samples_per_cell,
+                     max_attempts_per_cell=self.max_attempts_per_cell)
+        for n in self.vertex_counts:
+            check_counts(vertex_counts=n)
 
 
 def _pair_tables(n):

@@ -40,7 +40,7 @@ import numpy as np
 from . import tensor as T
 from .encoding import (Wl2Encoding, _offsets, _union_edges, combine_encodings,
                        edge_neighborhood_pairs, encode_all, stack_units)
-from .graphs import GraphError, check_feature_widths
+from .graphs import GraphError, check_counts, check_feature_widths
 
 # not called here since units are prepared a list at a time, but the
 # benchmark's tracer still wraps these names on this module
@@ -265,6 +265,7 @@ def pool(z, mode, scores=None):
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One grid model; construction rejects a field no model can use."""
     layer: str = "wl2"        # a key of FAMILIES
     t: int = 3                # conv layers (MLP depth for the baseline)
     d: int = 32               # feature width
@@ -273,33 +274,24 @@ class ModelSpec:
     act: str = "logistic"     # sigma and sigma_g, also the head's hidden layer
     lr: float = 1e-3
 
-
-def check_counts(**counts):
-    """Raises `ValueError` naming the first count that is not an integer
-    or is below 1."""
-    for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def validate_model_spec(spec):
-    if spec.layer not in FAMILIES:
-        raise ValueError(f"unknown layer type {spec.layer!r}")
-    if spec.pool not in POOL_MODES:
-        raise ValueError(f"unknown pooling mode {spec.pool!r}")
-    if spec.act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {spec.act!r}")
-    check_counts(t=spec.t, d=spec.d, r=spec.r)
-    if not 0 < spec.lr < np.inf:
-        raise ValueError(f"lr must be positive and finite, got {spec.lr}")
-    return spec
+    def __post_init__(self):
+        if self.layer not in FAMILIES:
+            raise ValueError(f"unknown layer type {self.layer!r}")
+        if self.pool not in POOL_MODES:
+            raise ValueError(f"unknown pooling mode {self.pool!r}")
+        if self.act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.act!r}")
+        check_counts(t=self.t, d=self.d, r=self.r)
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 def format_model_spec(spec):
-    return (f"layer={spec.layer},T={spec.t},d={spec.d},r={spec.r},"
-            f"pool={spec.pool},act={spec.act},lr={spec.lr:g}")
+    """The form `parse_model_spec` reads, with `t` as `T`."""
+    return ",".join(
+        f"{'T' if f.name == 't' else f.name}="
+        f"{getattr(spec, f.name):{'g' if f.type == 'float' else ''}}"
+        for f in fields(spec))
 
 
 def parse_model_spec(text):
@@ -327,7 +319,7 @@ def parse_model_spec(text):
                              f"got {value!r}") from None
     if "T" in given:
         given["t"] = given.pop("T")
-    return validate_model_spec(replace(default, **given))
+    return replace(default, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +502,6 @@ def input_width(units):
 
 def init_model_params(spec, in_dim, seed):
     """Seeded parameter initialization (uniform Glorot, zero biases)."""
-    validate_model_spec(spec)
     rng = np.random.default_rng(seed)
     dims = [in_dim] + [spec.d] * spec.t
     init = FAMILIES[spec.layer].init

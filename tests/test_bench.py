@@ -31,7 +31,7 @@ from wl2gnn.bench import (
     _random_regular_circulant,
     _select,
 )
-from wl2gnn.cli import DEFAULT_GRID, build_parser, main
+from wl2gnn.cli import build_parser, main
 from wl2gnn.graphs import Graph, GraphError, save_tu_dataset
 from wl2gnn.layers import (ModelSpec, format_model_spec, init_model_params,
                            input_width, parse_model_spec, prepare_units)
@@ -145,14 +145,14 @@ def test_train_model_rejects_counts_below_one():
     # and counts that are not integers, in the config or the spec
     graphs, labels = separable_dataset(8)
     units = prepare_units(BASELINE, graphs)
-    cases = [(BASELINE, {field: value}, f"{field} must be at least 1")
+    cases = [({}, {field: value}, f"{field} must be at least 1")
              for field in ("epochs", "batch_size") for value in (0, -1)]
-    cases += [(BASELINE, {"epochs": 1.5}, "epochs must be an integer, got 1.5"),
-              (ModelSpec(layer="baseline", d=2.5), {},
-               "d must be an integer, got 2.5")]
-    for spec, fields, message in cases:
+    cases += [({}, {"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+              ({"d": 2.5}, {}, "d must be an integer, got 2.5")]
+    for spec_fields, fields, message in cases:
         with pytest.raises(ValueError, match=message):
-            train_model(spec, units, labels, TrainConfig(**fields), seed=0)
+            train_model(replace(BASELINE, **spec_fields), units, labels,
+                        TrainConfig(**fields), seed=0)
 
 
 def test_train_model_target_needs_a_validation_set():
@@ -207,7 +207,7 @@ def test_train_model_scores_validation_set_once_per_epoch(monkeypatch):
     # flipped validation labels: the best epoch is an early one, so
     # patience stops training and the best weights are restored; with
     # the true labels the accuracy target stops it
-    for targets, target in ((1 - val_labels, 1.1), (val_labels, 0.9)):
+    for targets, target in ((1 - val_labels, None), (val_labels, 0.9)):
         calls.clear()
         config = TrainConfig(epochs=80, patience=3, batch_size=8,
                              target_acc=target, lr_patience=1)
@@ -743,7 +743,7 @@ def test_cli_cv_default_grid_matches_its_spec_listed_twice(tmp_path):
     graphs, labels = separable_dataset(12)
     save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
     grid = tmp_path / "grid.txt"
-    spec = DEFAULT_GRID.format(r=1)
+    spec = format_model_spec(replace(ModelSpec(), r=1))
     grid.write_text(f"{spec}\n{spec}\n")
     tables = []
     for name, flags in (("one", []), ("two", ["--grid-file", str(grid)])):
@@ -774,8 +774,7 @@ def test_cli_cv_runs_each_spec_at_the_radius_it_states(tmp_path):
     stated = {format_model_spec(parse_model_spec(ln)) for ln in lines}
     assert models("DD", "--grid-file", str(grid)) <= stated
     for name, r in (("DD", 2), ("TOY", 1)):
-        assert models(name) == {
-            format_model_spec(parse_model_spec(DEFAULT_GRID.format(r=r)))}
+        assert models(name) == {format_model_spec(replace(ModelSpec(), r=r))}
 
 
 @pytest.mark.parametrize("command", ["cv", "timing"])

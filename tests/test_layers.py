@@ -39,7 +39,6 @@ from wl2gnn.layers import (
     prepare_units,
     simulation_block_boundaries,
     simulation_initial_features,
-    validate_model_spec,
     vertex_units,
     vertex_sum_forward,
     wl2_conv,
@@ -342,15 +341,15 @@ def test_model_spec_round_trip():
 
 def test_model_spec_validation_errors():
     bad = [
-        ModelSpec(layer="wl2", t=0, d=4, r=1, pool="mean", act="relu", lr=1e-3),
-        ModelSpec(layer="wl2", t=1, d=4, r=0, pool="mean", act="relu", lr=1e-3),
-        ModelSpec(layer="gin", t=1, d=4, r=1, pool="nope", act="relu", lr=1e-3),
-        ModelSpec(layer="what", t=1, d=4, r=1, pool="mean", act="relu", lr=1e-3),
-        ModelSpec(layer="wl2", t=1, d=4, r=1, pool="mean", act="tanh", lr=1e-3),
+        dict(layer="wl2", t=0, d=4, r=1, pool="mean", act="relu", lr=1e-3),
+        dict(layer="wl2", t=1, d=4, r=0, pool="mean", act="relu", lr=1e-3),
+        dict(layer="gin", t=1, d=4, r=1, pool="nope", act="relu", lr=1e-3),
+        dict(layer="what", t=1, d=4, r=1, pool="mean", act="relu", lr=1e-3),
+        dict(layer="wl2", t=1, d=4, r=1, pool="mean", act="tanh", lr=1e-3),
     ]
-    for spec in bad:
+    for fields in bad:
         with pytest.raises(ValueError):
-            validate_model_spec(spec)
+            ModelSpec(**fields)
 
 
 def test_parse_model_spec_takes_model_spec_defaults():
