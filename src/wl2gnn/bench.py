@@ -25,12 +25,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
-from .graphs import check_counts, circulant_graph
+from .graphs import INTEGERS, check_counts, circulant_graph
 from .layers import (ModelSpec, combine_units, format_model_spec,
                      forward_model, init_model_params, input_width,
                      prepare_units)
@@ -61,8 +62,18 @@ class TrainConfig:
         check_counts(epochs=self.epochs, batch_size=self.batch_size,
                      repeats=self.repeats, patience=self.patience,
                      workers=self.workers)
-        if not 0 < self.holdout < 1:
+        if not (isinstance(self.holdout, Real) and 0 < self.holdout < 1):
             raise ValueError(f"holdout must lie in (0, 1), got {self.holdout}")
+        # numpy generators take no negative seed
+        for name in ("seed", "lr_patience"):
+            value = getattr(self, name)
+            if not isinstance(value, INTEGERS) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, "
+                                 f"got {value!r}")
+        if self.target_acc is not None and not (
+                isinstance(self.target_acc, Real) and 0 < self.target_acc <= 1):
+            raise ValueError(f"target_acc must be None or lie in (0, 1], "
+                             f"got {self.target_acc!r}")
 
 
 @dataclass
@@ -469,7 +480,8 @@ def loglog_slope(x, y):
     """Least-squares slope of log(y) against log(x); needs two distinct
     x and positive x and y."""
     x, y = np.asarray(x, float), np.asarray(y, float)
-    if len(np.unique(x)) < 2 or np.any(x <= 0) or np.any(y <= 0):
+    if len(np.unique(x)) < 2 or not np.all(np.isfinite(x) & (x > 0)) \
+            or not np.all(np.isfinite(y) & (y > 0)):
         raise ValueError(f"cannot fit a log-log slope to x={x.tolist()}, "
                          f"y={y.tolist()}: it needs two distinct x and "
                          "positive x and y")
@@ -581,6 +593,10 @@ def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,
         if len(set(xs)) < 2:
             raise ValueError(f"{name}={list(values)} has fewer than two "
                              f"distinct {what} to fit a slope to")
+    check_counts(fixed_n=fixed_n)
+    for name, values in (("n_list", n_list), ("d_list", d_list)):
+        for value in values:
+            check_counts(**{name: value})
     with _one_blas_thread():
         rows_n = _sweep_rows(spec, size_cells, n_graphs, epochs, seed)
         rows_d = _sweep_rows(spec, degree_cells, max(10, n_graphs // 2), 3,

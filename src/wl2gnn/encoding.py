@@ -36,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import GraphError, check_feature_widths
+from .graphs import GraphError, check_feature_widths, check_radius
 # not called here: `graph_power` is the oracle of the row order, and the
 # benchmark's tracer still wraps this name on this module
 from .graphs import graph_power  # noqa: F401
@@ -97,8 +97,7 @@ def encode_all(graphs, r):
     """Encodes every graph of a list against its r-th power; returns one
     `Wl2Encoding` per graph, equal to what `encode` gives for it."""
     graphs = list(graphs)
-    if r < 1:
-        raise GraphError(f"radius must be >= 1, got {r}")
+    check_radius(r)
     check_feature_widths(graphs)
     for k, g in enumerate(graphs):
         if g.n == 0:

@@ -21,6 +21,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -29,14 +30,25 @@ class GraphError(ValueError):
     """Raised for structurally invalid graphs or malformed dataset files."""
 
 
+INTEGERS = (int, np.integer)
+
+
 def check_counts(**counts):
     """Raises `ValueError` naming the first count that is not an integer
     or is below 1."""
     for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)):
+        if not isinstance(value, INTEGERS):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def check_radius(r):
+    """Raises `GraphError` unless `r` is an integer of at least 1."""
+    if not isinstance(r, INTEGERS):
+        raise GraphError(f"radius must be an integer, got {r!r}")
+    if r < 1:
+        raise GraphError(f"radius must be >= 1, got {r}")
 
 
 def _as_features(arr, rows, what):
@@ -57,13 +69,16 @@ class Graph:
     vertex_labels: tuple | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n, INTEGERS):
+            raise GraphError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 0:
             raise GraphError(f"vertex count must be non-negative, got {self.n}")
         canon = []
         seen = set()
         for e in self.edges:
             i, j = e
-            if not (0 <= i < self.n and 0 <= j < self.n):
+            if not (isinstance(i, INTEGERS) and isinstance(j, INTEGERS)
+                    and 0 <= i < self.n and 0 <= j < self.n):
                 raise GraphError(f"edge {e} references a vertex outside 0..{self.n - 1}")
             key = (min(i, j), max(i, j))
             if key in seen:
@@ -149,12 +164,13 @@ def circulant_graph(n, offsets):
 
     Degree is 2 * len(offsets), minus one for the antipodal offset n/2.
     """
-    offsets = sorted(set(int(s) for s in offsets))
+    offsets = list(offsets)
     if n < 3:
         raise GraphError(f"circulant needs at least 3 vertices, got {n}")
     for s in offsets:
-        if not 1 <= s <= n // 2:
+        if not (isinstance(s, INTEGERS) and 1 <= s <= n // 2):
             raise GraphError(f"offset {s} outside 1..{n // 2}")
+    offsets = sorted(set(int(s) for s in offsets))
     edges = set()
     for i in range(n):
         for s in offsets:
@@ -211,8 +227,7 @@ def graph_power(g, r):
     """
     if g.n == 0:
         raise GraphError("graph power undefined on the empty graph")
-    if r < 1:
-        raise GraphError(f"radius must be >= 1, got {r}")
+    check_radius(r)
     base_adj = [g.adjacency[v] - {v} for v in range(g.n)]
     edges = []
     for v in range(g.n):
@@ -279,7 +294,10 @@ class TriangleConfig:
     count over n^2 with edges counted in both directions, so the
     undirected edge target is round(density * n^2 / 2). Cells that are
     structurally infeasible or exhaust `max_attempts_per_cell` draws are
-    skipped with a warning. A count that is not an integer >= 1 raises.
+    skipped with a warning. Construction raises `ValueError` naming the
+    first field that no cell could use: a count that is not an integer
+    of at least 1, a density that is not a finite number, or a
+    proportion that is not a pair in [0, 1] summing to 1.
     """
 
     vertex_counts: tuple = tuple(range(6, 33))
@@ -293,6 +311,15 @@ class TriangleConfig:
                      max_attempts_per_cell=self.max_attempts_per_cell)
         for n in self.vertex_counts:
             check_counts(vertex_counts=n)
+        for density in self.densities:
+            if not (isinstance(density, Real) and math.isfinite(density)):
+                raise ValueError(f"densities must be finite, got {density!r}")
+        for prop in self.proportions:
+            if not (np.shape(prop) == (2,)
+                    and all(isinstance(p, Real) and 0 <= p <= 1 for p in prop)
+                    and math.isclose(sum(prop), 1)):
+                raise ValueError("proportions must be pairs in [0, 1] that "
+                                 f"sum to 1, got {prop!r}")
 
 
 def _pair_tables(n):

@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -282,7 +283,7 @@ class ModelSpec:
         if self.act not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.act!r}")
         check_counts(t=self.t, d=self.d, r=self.r)
-        if not 0 < self.lr < np.inf:
+        if not (isinstance(self.lr, Real) and 0 < self.lr < np.inf):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 

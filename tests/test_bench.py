@@ -5,7 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +153,57 @@ def test_train_model_rejects_counts_below_one():
         with pytest.raises(ValueError, match=message):
             train_model(replace(BASELINE, **spec_fields), units, labels,
                         TrainConfig(**fields), seed=0)
+
+
+_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None)
+# `folds` is left to `run_cv`, which checks it against the labels
+_CONFIG_WRONG = {
+    **{field: _COUNT_WRONG
+       for field in ("epochs", "patience", "batch_size", "repeats", "workers")},
+    "seed": (-1, 1.5, float("nan"), "0", None),
+    "lr_patience": (-1, 0.5, float("inf"), "2", None),
+    "holdout": (0, 1, -0.5, 1.5, float("nan"), float("inf"), "0.1", None),
+    "target_acc": (0, -0.5, 1.5, 2.0, float("nan"), float("inf"), "0.9"),
+}
+_CONFIGS = st.builds(
+    TrainConfig, epochs=st.integers(1, 500), patience=st.integers(1, 100),
+    batch_size=st.integers(1, 128), seed=st.integers(0, 2 ** 32),
+    folds=st.integers(2, 10),
+    holdout=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    repeats=st.integers(1, 5), workers=st.integers(1, 4),
+    target_acc=st.none() | st.floats(0, 1, exclude_min=True),
+    lr_patience=st.integers(0, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CONFIGS, st.data())
+def test_a_train_config_that_exists_is_valid(config, data):
+    field = data.draw(st.sampled_from(sorted(_CONFIG_WRONG)))
+    value = data.draw(st.sampled_from(_CONFIG_WRONG[field]))
+    with pytest.raises(ValueError, match=field):
+        replace(config, **{field: value})
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"patience": 0}, "patience must be at least 1, got 0"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"lr_patience": -1}, "lr_patience must be a non-negative integer, "
+                          "got -1"),
+    ({"target_acc": float("nan")}, r"target_acc must be None or lie in "
+                                   r"\(0, 1\], got nan"),
+    ({"target_acc": 2.0}, r"target_acc must be None or lie in \(0, 1\], "
+                          r"got 2.0"),
+])
+def test_train_config_rejects_what_training_cannot_use(fields, message):
+    # before `train_model` reads it: a patience of 0 stopped after the
+    # first epoch that did not improve, a negative lr_patience halved the
+    # rate on each, and a target above 1 was never reached
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**fields)
+    with pytest.raises(ValueError, match=message):
+        replace(TrainConfig(), **fields)
+    with pytest.raises(FrozenInstanceError):
+        TrainConfig().patience = 0
 
 
 def test_train_model_target_needs_a_validation_set():
@@ -561,7 +612,9 @@ def test_loglog_slope_recovers_exponent():
     assert loglog_slope(x, np.full(4, 9.0)) == pytest.approx(0.0, abs=1e-12)
     # one point, no points, one distinct x, and non-positive x or y
     for xs, ys in (([16.0], [0.5]), ([], []), ([2.0, 2.0], [1.0, 3.0]),
-                   ([0.0, 2.0], [1.0, 3.0]), ([1.0, 2.0], [1.0, -3.0])):
+                   ([0.0, 2.0], [1.0, 3.0]), ([1.0, 2.0], [1.0, -3.0]),
+                   ([1.0, float("nan")], [1.0, 2.0]),
+                   ([1.0, 2.0], [1.0, float("inf")])):
         with pytest.raises(ValueError, match="log-log slope") as err:
             loglog_slope(xs, ys)
         assert f"x={xs}, y={ys}" in str(err.value)
@@ -683,6 +736,20 @@ def test_scaling_study_rejects_infeasible_sweeps(monkeypatch, n_list, d_list,
         scaling_study(n_list, d_list, fixed_n=fixed_n, n_graphs=3, epochs=1)
 
 
+@pytest.mark.parametrize("n_list,d_list,fixed_n,message", [
+    ([16.5, 32], [2, 4], 64, "n_list must be an integer, got 16.5"),
+    ([16, 32], [2, 4.5], 64, "d_list must be an integer, got 4.5"),
+    ([16, 32], [2, 4], 20.5, "fixed_n must be an integer, got 20.5"),
+])
+def test_scaling_study_rejects_sizes_that_are_not_integers(
+        monkeypatch, n_list, d_list, fixed_n, message):
+    def no_training(*args):
+        raise AssertionError("trained before checking the sizes")
+    monkeypatch.setattr(bench, "_train_step", no_training)
+    with pytest.raises(ValueError, match=message):
+        scaling_study(n_list, d_list, fixed_n=fixed_n, n_graphs=3, epochs=1)
+
+
 def test_default_radii_cover_corpora():
     assert DEFAULT_RADII["TRIANGLE"] == 2
     assert DEFAULT_RADII["NCI1"] == 8
@@ -714,7 +781,12 @@ CLI_BASE = {
 ], ids=["cv-repeats-0", "cv-batch-size-neg", "cv-batch-size-0", "cv-epochs-0",
         "cv-patience-0", "cv-workers-0", "cv-workers-neg", "timing-epochs-0",
         "timing-graphs-0"])
-def test_cli_rejects_counts_below_one(tmp_path, capsys, command, flags, field):
+def test_cli_rejects_counts_below_one(tmp_path, capsys, monkeypatch, command,
+                                      flags, field):
+    # `cv` checks its flags before it loads the dataset
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the dataset before checking the flags")
+    monkeypatch.setattr(cli, "load_tu_dataset", no_loading)
     graphs, labels = separable_dataset(16)
     save_tu_dataset(graphs, labels, tmp_path / "TOY", "TOY")
     out = tmp_path / "out.csv"

@@ -147,6 +147,11 @@ def test_radius_must_be_positive():
         encode(cycle_graph(3), 0)
 
 
+def test_radius_must_be_an_integer():
+    with pytest.raises(GraphError, match="radius must be an integer, got 1.5"):
+        encode(cycle_graph(3), 1.5)
+
+
 # ---------------------------------------------------------------- batching
 
 def test_singleton_batch_equals_plain_encoding():

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import tempfile
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,13 @@ def test_duplicate_edge_rejected():
 def test_out_of_range_vertex_rejected():
     with pytest.raises(GraphError):
         Graph(3, ((0, 3),))
+    # and vertex ids or counts that are not integers; numpy integers are
+    with pytest.raises(GraphError, match=r"edge \(0.5, 1\) references"):
+        Graph(3, ((0.5, 1),))
+    with pytest.raises(GraphError, match="vertex count must be an integer, "
+                                         "got 2.5"):
+        Graph(2.5, ())
+    assert Graph(np.int64(3), ((np.int32(0), np.int64(2)),)).edges == ((0, 2),)
 
 
 def test_edge_features_follow_canonical_order():
@@ -142,6 +150,8 @@ def test_circulant_antipodal_offset_drops_one_degree():
 def test_circulant_rejects_bad_offset():
     with pytest.raises(GraphError):
         circulant_graph(6, {4})
+    with pytest.raises(GraphError, match=r"offset 1.5 outside 1..4"):
+        circulant_graph(8, [1.5])
 
 
 def test_disjoint_union_two_triangles():
@@ -195,6 +205,12 @@ def test_power_keeps_base_edge_features_and_zeroes_new_rows():
 def test_power_rejects_nonpositive_radius():
     with pytest.raises(GraphError):
         graph_power(cycle_graph(3), 0)
+
+
+def test_power_rejects_a_radius_that_is_not_an_integer():
+    # 1.5 used to give the complete power of C8, 36 pairs, where r=2 gives 24
+    with pytest.raises(GraphError, match="radius must be an integer, got 1.5"):
+        graph_power(cycle_graph(8), 1.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,6 +294,69 @@ def test_edge_neighborhood_matches_multiset_oracle(g):
 
 SMALL = TriangleConfig(vertex_counts=(6, 8, 10), samples_per_cell=2,
                        max_attempts_per_cell=4000)
+
+
+_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None)
+# a wrong value for one entry of each tuple field
+_TRIANGLE_WRONG = {
+    "samples_per_cell": _COUNT_WRONG, "max_attempts_per_cell": _COUNT_WRONG,
+    "vertex_counts": (8.5, float("nan"), 0, -2, "8", None),
+    "densities": (float("nan"), float("inf"), -float("inf"), "0.5", None),
+    "proportions": ((1.5, -0.5), (0.5, 0.3), (float("nan"),) * 2, (0.5,),
+                    (0.25, 0.25, 0.5), ("a", "b"), 0.5, None),
+}
+_TRIANGLE_CONFIGS = st.builds(
+    TriangleConfig,
+    vertex_counts=st.lists(st.integers(1, 40), max_size=4).map(tuple),
+    proportions=st.lists(st.floats(0, 1).map(lambda p: (p, 1 - p)),
+                         max_size=3).map(tuple),
+    densities=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       max_size=3).map(tuple),
+    samples_per_cell=st.integers(1, 10),
+    max_attempts_per_cell=st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIANGLE_CONFIGS, st.data())
+def test_a_triangle_config_that_exists_is_valid(config, data):
+    field = data.draw(st.sampled_from(sorted(_TRIANGLE_WRONG)))
+    value = data.draw(st.sampled_from(_TRIANGLE_WRONG[field]))
+    if isinstance(getattr(config, field), tuple):
+        entries = getattr(config, field)
+        k = data.draw(st.integers(0, len(entries)))
+        value = entries[:k] + (value,) + entries[k:]
+    with pytest.raises(ValueError, match=field):
+        replace(config, **{field: value})
+
+
+@pytest.mark.parametrize("fields,message", [
+    # an empty dataset without a warning, and 2 graphs per cell for 1.5
+    ({"samples_per_cell": 0}, "samples_per_cell must be at least 1, got 0"),
+    ({"samples_per_cell": -2}, "samples_per_cell must be at least 1, got -2"),
+    ({"samples_per_cell": 1.5}, "samples_per_cell must be an integer, "
+                                "got 1.5"),
+    # numpy's errors: NaN cannot become an integer, inf overflows
+    ({"densities": (0.25, float("nan"))}, "densities must be finite, got nan"),
+    ({"densities": (float("inf"),)}, "densities must be finite, got inf"),
+    # numpy's sampling error, and a 0.5/0.5 split printed as 0.5/0.3
+    ({"proportions": ((1.5, -0.5),)}, r"proportions must be pairs in \[0, 1\] "
+                                      r"that sum to 1, got \(1.5, -0.5\)"),
+    ({"proportions": ((0.5, 0.3),)}, r"proportions must be pairs in \[0, 1\] "
+                                     r"that sum to 1, got \(0.5, 0.3\)"),
+])
+def test_triangle_config_rejects_what_no_cell_can_use(fields, message):
+    with pytest.raises(ValueError, match=message):
+        generate_triangle_dataset(0, TriangleConfig(vertex_counts=(8,),
+                                                    **fields))
+    with pytest.raises(FrozenInstanceError):
+        TriangleConfig().samples_per_cell = 0
+
+
+def test_triangle_density_out_of_range_skips_its_cells():
+    _, _, warnings = generate_triangle_dataset(0, TriangleConfig(
+        vertex_counts=(8,), proportions=((0.5, 0.5),), densities=(2.0,)))
+    assert warnings == [f"skipped n=8 prop=0.5/0.5 density=2 class={c}: edge "
+                        "target 64 out of range" for c in "AB"]
 
 
 def test_triangle_dataset_is_reproducible():

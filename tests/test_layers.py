@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from wl2gnn.layers import (
     Gnn2LayerParams,
     Mlp,
     ModelSpec,
+    POOL_MODES,
     VertexSumSpec,
     Wl2LayerParams,
     build_simulation_stack,
@@ -350,6 +352,37 @@ def test_model_spec_validation_errors():
     for fields in bad:
         with pytest.raises(ValueError):
             ModelSpec(**fields)
+
+
+# wrong values per field: a float for an int, NaN, inf, 0, a negative, a
+# wrong type, an unknown name
+_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None)
+_SPEC_WRONG = {
+    "layer": ("nope", 3, None), "pool": ("max", 3, None),
+    "act": ("tanh", 3, None), "t": _COUNT_WRONG, "d": _COUNT_WRONG,
+    "r": _COUNT_WRONG,
+    "lr": (0, -1e-3, float("nan"), float("inf"), "fast", None),
+}
+# learning rates that the `g` format writes exactly
+_SPECS = st.builds(ModelSpec, layer=st.sampled_from(sorted(FAMILIES)),
+                   t=st.integers(1, 8), d=st.integers(1, 64),
+                   r=st.integers(1, 4), pool=st.sampled_from(POOL_MODES),
+                   act=st.sampled_from(sorted(T.ACTIVATIONS)),
+                   lr=st.floats(1e-6, 10).map(lambda x: float(f"{x:g}")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPECS, st.data())
+def test_a_model_spec_that_exists_is_valid(spec, data):
+    """A valid spec survives its text form; one wrong field fails its
+    construction, naming the field, or the value for a name field."""
+    assert parse_model_spec(format_model_spec(spec)) == spec
+    field = data.draw(st.sampled_from(sorted(_SPEC_WRONG)))
+    value = data.draw(st.sampled_from(_SPEC_WRONG[field]))
+    with pytest.raises(ValueError) as err:
+        replace(spec, **{field: value})
+    assert (repr(value) if field in ("layer", "pool", "act") else field) \
+        in str(err.value)
 
 
 def test_parse_model_spec_takes_model_spec_defaults():
