@@ -315,7 +315,7 @@ class TriangleConfig:
             if not (isinstance(density, Real) and math.isfinite(density)):
                 raise ValueError(f"densities must be finite, got {density!r}")
         for prop in self.proportions:
-            if not (np.shape(prop) == (2,)
+            if not (isinstance(prop, (tuple, list)) and len(prop) == 2
                     and all(isinstance(p, Real) and 0 <= p <= 1 for p in prop)
                     and math.isclose(sum(prop), 1)):
                 raise ValueError("proportions must be pairs in [0, 1] that "

@@ -303,7 +303,7 @@ _TRIANGLE_WRONG = {
     "vertex_counts": (8.5, float("nan"), 0, -2, "8", None),
     "densities": (float("nan"), float("inf"), -float("inf"), "0.5", None),
     "proportions": ((1.5, -0.5), (0.5, 0.3), (float("nan"),) * 2, (0.5,),
-                    (0.25, 0.25, 0.5), ("a", "b"), 0.5, None),
+                    (0.25, 0.25, 0.5), (0.5, (0.5,)), ("a", "b"), 0.5, None),
 }
 _TRIANGLE_CONFIGS = st.builds(
     TriangleConfig,
