@@ -9,8 +9,12 @@ graphs, so final histograms can be compared directly.
 The 2-dimensional variant refines ordered vertex pairs: the new color
 of (v_i, v_j) hashes the old color together with the multiset, over all
 vertices u, of the color pairs (color(u, v_j), color(v_i, u)).
-Convergence is detected on partition equivalence, never on equality of
-the integer color values, which change every round.
+
+Both refinements key a new color on the old one, so a round can only
+split classes, never merge them. A round is therefore stable exactly
+when the number of distinct colors over all refined graphs did not
+grow, and that count is the stopping rule; the integer color values
+themselves change every round.
 """
 
 from __future__ import annotations
@@ -75,19 +79,28 @@ def refine_wl2(g, coloring, palette):
     return new
 
 
-def _partition(coloring):
-    classes = {}
-    for t, c in coloring.items():
-        classes.setdefault(c, set()).add(t)
-    return frozenset(frozenset(s) for s in classes.values())
+def _refine_together(graphs, k, palette):
+    """Refines the graphs in lockstep against one palette until a round
+    splits no class; returns (colorings, rounds).
 
-
-def same_partition(a, b):
-    return _partition(a) == _partition(b)
-
-
-def _refiner(k):
-    return refine_wl1 if k == 1 else refine_wl2
+    Each round refines the graphs in list order, after initial colorings
+    drawn in that order. The round count includes the round that
+    exhibited stability. At most the total tuple count of rounds can run,
+    since each unstable round adds a class.
+    """
+    refine = refine_wl1 if k == 1 else refine_wl2
+    colorings = [initial_coloring(g, k, palette) for g in graphs]
+    classes = len({c for coloring in colorings for c in coloring.values()})
+    bound = max(1, sum(g.n ** k for g in graphs))
+    for rounds in range(1, bound + 1):
+        colorings = [refine(g, coloring, palette)
+                     for g, coloring in zip(graphs, colorings)]
+        grown = len({c for coloring in colorings for c in coloring.values()})
+        if grown == classes:
+            return colorings, rounds
+        classes = grown
+    raise AssertionError("refinement failed to stabilize within the tuple "
+                         "count")
 
 
 def run_wl(g, k, palette=None):
@@ -98,42 +111,19 @@ def run_wl(g, k, palette=None):
     most |V|^k rounds can run since each unstable round splits a class.
     """
     palette = palette if palette is not None else Palette()
-    refine = _refiner(k)
-    coloring = initial_coloring(g, k, palette)
-    bound = max(1, g.n ** k)
-    for iterations in range(1, bound + 1):
-        new = refine(g, coloring, palette)
-        if same_partition(coloring, new):
-            return new, iterations
-        coloring = new
-    raise AssertionError("refinement failed to stabilize within |V|^k rounds")
+    (coloring,), iterations = _refine_together([g], k, palette)
+    return coloring, iterations
 
 
 def run_wl_pair(g, h, k):
     """Lockstep refinement of two graphs against one shared palette.
 
-    Stops when the combined partition over both tuple sets is stable,
-    which makes the two final colorings directly comparable. Returns
+    Stops when a round splits no class over both tuple sets, which makes
+    the two final colorings directly comparable. Returns
     (coloring_g, coloring_h).
     """
-    palette = Palette()
-    cg = initial_coloring(g, k, palette)
-    ch = initial_coloring(h, k, palette)
-    refine = _refiner(k)
-
-    def combined(a, b):
-        both = {("g",) + t: c for t, c in a.items()}
-        both.update({("h",) + t: c for t, c in b.items()})
-        return both
-
-    bound = max(1, g.n ** k + h.n ** k)
-    for _ in range(bound):
-        ng = refine(g, cg, palette)
-        nh = refine(h, ch, palette)
-        if same_partition(combined(cg, ch), combined(ng, nh)):
-            return ng, nh
-        cg, ch = ng, nh
-    raise AssertionError("refinement failed to stabilize within the tuple bound")
+    (cg, ch), _ = _refine_together([g, h], k, Palette())
+    return cg, ch
 
 
 def color_histogram(coloring):

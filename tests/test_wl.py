@@ -23,7 +23,6 @@ from wl2gnn.wl import (
     refine_wl2,
     run_wl,
     run_wl_pair,
-    same_partition,
 )
 
 
@@ -146,7 +145,7 @@ def test_refine_wl2_single_vertex_stable():
     p = Palette()
     c0 = initial_coloring(g, 2, p)
     c1 = refine_wl2(g, c0, p)
-    assert same_partition(c0, c1)
+    assert partition_of(c0) == partition_of(c1)
 
 
 def test_wl2_separates_c6_from_triangles_in_one_step():
@@ -223,6 +222,35 @@ def test_histogram_invariant_under_vertex_permutation(g, k, rnd):
     h = Graph(g.n, tuple((perm[i], perm[j]) for i, j in g.edges))
     cg, ch = run_wl_pair(g, h, k)
     assert color_histogram(cg) == color_histogram(ch)
+
+
+def reference_refinement(graphs, k, palette):
+    """The stop rule by partitions: steps every graph in lockstep until
+    the partition over all their tuples stops changing; returns
+    (colorings, rounds)."""
+    step = refine_wl1 if k == 1 else refine_wl2
+    colorings = [initial_coloring(g, k, palette) for g in graphs]
+
+    def tagged(colorings):
+        return partition_of({(gi,) + t: c for gi, coloring in
+                             enumerate(colorings) for t, c in coloring.items()})
+
+    rounds = 0
+    while True:
+        rounds += 1
+        new = [step(g, c, palette) for g, c in zip(graphs, colorings)]
+        if tagged(new) == tagged(colorings):
+            return new, rounds
+        colorings = new
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graphs(), simple_graphs(), st.integers(min_value=1, max_value=2))
+def test_color_count_stop_rule_matches_partition_stop_rule(g, h, k):
+    (want,), rounds = reference_refinement([g], k, Palette())
+    assert run_wl(g, k) == (want, rounds)
+    want_g, want_h = reference_refinement([g, h], k, Palette())[0]
+    assert run_wl_pair(g, h, k) == (want_g, want_h)
 
 
 def test_palette_determinism():
