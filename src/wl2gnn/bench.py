@@ -333,7 +333,9 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     fold_task = partial(_run_fold, _unit_cache(grid, graphs), labels, grid,
                         config, dataset)
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the pool starts all its workers at once, so no more than folds
+        with ProcessPoolExecutor(max_workers=min(config.workers,
+                                                 config.folds)) as pool:
             per_fold = list(pool.map(fold_task, range(config.folds), splits))
     else:
         per_fold = list(map(fold_task, range(config.folds), splits))

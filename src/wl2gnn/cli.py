@@ -52,7 +52,8 @@ def _cmd_cv(args):
     # the output directory, the grid and the flags are checked before the
     # dataset is loaded
     _check_out_dir(args.out)
-    name = os.path.basename(args.dataset.rstrip("/"))
+    # the name the loader reads the files by, so `.` names its directory
+    name = os.path.basename(os.path.abspath(args.dataset))
     if args.grid_file:
         with open(args.grid_file) as fh:
             grid = [parse_model_spec(ln.strip()) for ln in fh if ln.strip()
@@ -61,6 +62,8 @@ def _cmd_cv(args):
         grid = [ModelSpec(r=DEFAULT_RADII.get(name, 1))]
     grid = check_grid(grid)
     config = TrainConfig(**{name: getattr(args, name) for name in CV_FIELDS})
+    if not os.path.isdir(args.dataset):
+        raise ValueError(f"--dataset {args.dataset} is not a directory")
     graphs, labels = load_tu_dataset(args.dataset)
     results = run_cv(graphs, labels, grid, config, dataset=name,
                      out_path=args.out)
@@ -133,7 +136,12 @@ def _cmd_deltas(args):
 
 
 def _cmd_gen_triangle(args):
-    # a path that cannot be a directory fails before the generation
+    # a name that `cv --dataset` could not read back, and a path that
+    # cannot be a directory, fail before the generation
+    if args.name in ("", ".", "..") or any(
+            sep in args.name for sep in (os.sep, os.altsep) if sep):
+        raise ValueError(f"--name must name one directory, without a path "
+                         f"separator, got {args.name!r}")
     out_dir = os.path.join(args.out_dir, args.name)
     os.makedirs(out_dir, exist_ok=True)
     graphs, labels, warnings = generate_triangle_dataset(args.seed)
@@ -198,7 +206,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse drops the value `--` of `--flag=--` and stores an empty list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected "
+                         "one argument")
     try:
         # seeds feed numpy generators, which take no negative entropy
         if getattr(args, "seed", 0) < 0:

@@ -167,12 +167,15 @@ def _encode_run(graphs, r):
     _, adj_dst = pairs_of(np.flatnonzero(adj))
     adj_ptr = _offsets(np.bincount(a, minlength=N))
 
-    # directed pairs within distance r: loops and base edges, then r - 1
-    # steps from the pairs that the previous step reached first
+    # directed pairs within distance r: loops and base edges, then up to
+    # r - 1 steps from the pairs that the previous step reached first;
+    # once a step reaches none, the power is complete
     reach = adj.copy()
     reach[cbase + np.arange(N)] = True
     u, w = a, b
     for _ in range(r - 1):
+        if not len(w):
+            break
         owner, pos = _csr_gather(adj_ptr, w)
         new = np.zeros(n_codes, dtype=bool)
         new[cbase[u[owner]] + adj_dst[pos]] = True

@@ -295,9 +295,10 @@ class TriangleConfig:
     undirected edge target is round(density * n^2 / 2). Cells that are
     structurally infeasible or exhaust `max_attempts_per_cell` draws are
     skipped with a warning. Construction raises `ValueError` naming the
-    first field that no cell could use: a count that is not an integer
-    of at least 1, a density that is not a finite number, or a
-    proportion that is not a pair in [0, 1] summing to 1.
+    first field that no cell could use: a grid field that is not a
+    non-empty tuple or list, a count that is not an integer of at
+    least 1, a density that is not a finite number, or a proportion
+    that is not a pair in [0, 1] summing to 1.
     """
 
     vertex_counts: tuple = tuple(range(6, 33))
@@ -307,6 +308,11 @@ class TriangleConfig:
     max_attempts_per_cell: int = 10_000
 
     def __post_init__(self):
+        for name in ("vertex_counts", "proportions", "densities"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and value):
+                raise ValueError(f"{name} must be a non-empty tuple or "
+                                 f"list, got {value!r}")
         check_counts(samples_per_cell=self.samples_per_cell,
                      max_attempts_per_cell=self.max_attempts_per_cell)
         for n in self.vertex_counts:

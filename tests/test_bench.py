@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wl2gnn import bench, cli
 from wl2gnn.bench import (
@@ -32,7 +32,7 @@ from wl2gnn.bench import (
     _select,
 )
 from wl2gnn.cli import build_parser, main
-from wl2gnn.graphs import Graph, GraphError, save_tu_dataset
+from wl2gnn.graphs import Graph, GraphError, load_tu_dataset, save_tu_dataset
 from wl2gnn.layers import (ModelSpec, format_model_spec, init_model_params,
                            input_width, parse_model_spec, prepare_units)
 
@@ -336,6 +336,34 @@ def test_run_cv_parallel_matches_serial():
                           quick_config(folds=3, repeats=1, epochs=2, workers=2))
         assert [(r.fold, r.test_acc) for r in serial] == \
                [(r.fold, r.test_acc) for r in parallel]
+
+
+def test_run_cv_starts_at_most_one_worker_per_fold(monkeypatch):
+    # the pool starts all its workers at its first task, so more workers
+    # than folds would start idle processes
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    graphs, labels = separable_dataset(12)
+    serial, pooled = (
+        run_cv(graphs, labels, [BASELINE],
+               quick_config(folds=2, repeats=1, epochs=2, workers=workers))
+        for workers in (1, 8))
+    assert sizes == [2]
+    assert _without_seconds(pooled) == _without_seconds(serial)
 
 
 def test_run_fold_evaluates_only_train_and_test_folds(monkeypatch):
@@ -899,6 +927,40 @@ def test_cli_gen_triangle_makes_its_directory_before_it_generates(
     assert f"Not a directory: '{afile / 'TRIANGLE'}'" in err[0]
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", os.path.join("a", "b")],
+                         ids=["empty", "dot", "dot-dot", "separator"])
+def test_cli_gen_triangle_rejects_a_name_cv_cannot_read(tmp_path, capsys,
+                                                        monkeypatch, name):
+    # `cv --dataset` reads <dir>/<basename of dir>_A.txt, which none of
+    # these names writes
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated before checking --name")
+    monkeypatch.setattr(cli, "generate_triangle_dataset", no_work)
+    out_dir = tmp_path / "out"
+    code = main(["gen-triangle", "--seed", "7", "--out-dir", str(out_dir),
+                 "--name", name])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == ["error: --name must name one directory, without a path "
+                   f"separator, got {name!r}"]
+    assert not out_dir.exists()
+
+
+def test_cli_cv_names_the_dataset_by_the_directory_it_reads(tmp_path,
+                                                             monkeypatch):
+    # `.` inside DD reads DD's files, so it names the rows and picks the
+    # default radius as `DD` does
+    graphs, labels = separable_dataset(12)
+    save_tu_dataset(graphs, labels, tmp_path / "DD", "DD")
+    monkeypatch.chdir(tmp_path / "DD")
+    out = tmp_path / "out.csv"
+    assert main(["cv", "--dataset", ".", *CLI_BASE["cv"], "--out",
+                 str(out)]) == 0
+    results = read_results_csv(out)
+    assert {(r.dataset, r.model) for r in results} == {
+        ("DD", format_model_spec(replace(ModelSpec(), r=DEFAULT_RADII["DD"])))}
+
+
 @pytest.mark.parametrize("grid,message", [
     (None, "No such file or directory"),
     ("layer=wl2,T\n", "malformed spec field 'T'"),
@@ -1034,6 +1096,120 @@ def test_cli_experiments_reject_bad_input(capsys, command, flags, message):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert message in err[0]
+
+
+def _not_an_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# text that `int` refuses, without the list separator
+_NOT_INTEGER = st.text(alphabet="5x.e-+ _", max_size=4).filter(_not_an_integer)
+_COUNT = st.one_of(_NOT_INTEGER, st.integers(max_value=0).map(str))
+_SEED = st.one_of(_NOT_INTEGER, st.integers(max_value=-1).map(str))
+# every subcommand flag that takes a value, with wrong values for it:
+# paths name an entry of `_argv_files`' directory
+_WRONG_VALUES = {
+    "cv": {
+        "--dataset": st.sampled_from(["missing", "afile"]),
+        "--grid-file": st.sampled_from(["missing", "adir"]),
+        "--out": st.sampled_from(["missing/out.csv", "adir"]),
+        "--seed": _SEED,
+        **{flag: _COUNT for flag in ("--epochs", "--patience", "--batch-size",
+                                     "--folds", "--repeats", "--workers")}},
+    "timing": {
+        # no circulant: n below 3 at degree 2, d above 63 at n = 64
+        "--n-values": st.one_of(
+            st.sampled_from(["", ","]), _NOT_INTEGER.map("8,{}".format),
+            st.integers(max_value=2).map("8,16,{}".format)),
+        "--d-values": st.one_of(
+            st.sampled_from(["", ","]), _NOT_INTEGER.map("2,{}".format),
+            st.one_of(st.integers(max_value=0), st.integers(64, 10 ** 6))
+            .map("2,{}".format)),
+        **{flag: _COUNT for flag in ("--fixed-n", "--graphs", "--epochs",
+                                     "--radius")},
+        "--seed": _SEED,
+        "--out": st.sampled_from(["missing/out.csv", "adir"])},
+    "triangle": {"--seed": _SEED},
+    "deltas": {"--a": st.sampled_from(["missing", "adir"]),
+               "--b": st.sampled_from(["missing", "adir"])},
+    "gen-triangle": {
+        "--seed": _SEED,
+        "--out-dir": st.sampled_from(["afile", "afile/sub"]),
+        "--name": st.one_of(st.sampled_from(["", ".", ".."]), st.tuples(
+            st.text("ab.", max_size=2), st.text("ab.", max_size=2))
+            .map(os.sep.join))},
+}
+_PATH_FLAGS = {"--dataset", "--grid-file", "--out", "--a", "--b", "--out-dir"}
+# the other flags of each run: small, valid, and enough to start work
+_VALID_FLAGS = {
+    "cv": {"--dataset": "TOY", "--out": "out.csv", "--folds": "2",
+           "--repeats": "1", "--epochs": "1"},
+    "timing": {"--n-values": "8,16", "--d-values": "2,4", "--fixed-n": "8",
+               "--graphs": "3", "--epochs": "1"},
+    "triangle": {},
+    "deltas": {"--a": "a.csv", "--b": "b.csv"},
+    "gen-triangle": {"--seed": "7", "--out-dir": "gen"},
+}
+
+
+@st.composite
+def _one_wrong_flag(draw):
+    command = draw(st.sampled_from(sorted(_WRONG_VALUES)))
+    flag = draw(st.sampled_from(sorted(_WRONG_VALUES[command])))
+    return command, flag, draw(_WRONG_VALUES[command][flag])
+
+
+def _argv_files(tmp):
+    """Makes the entries that valid and wrong paths name, once per test."""
+    if not (tmp / "TOY").exists():
+        graphs, labels = separable_dataset(12)
+        save_tu_dataset(graphs, labels, tmp / "TOY", "TOY")
+        for name in ("a.csv", "b.csv"):
+            write_results_csv(rows([0.9, 0.8]), tmp / name)
+        (tmp / "afile").write_text("")
+        (tmp / "adir").mkdir()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_one_wrong_flag())
+def test_cli_exits_2_on_one_wrong_flag_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, case):
+    command, flag, wrong = case
+    _argv_files(tmp_path)
+    flags = {**_VALID_FLAGS[command], flag: wrong}
+    argv = [command] + [
+        f"{f}={tmp_path / v if f in _PATH_FLAGS else v}"
+        for f, v in flags.items()]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{argv} started work")
+
+    def load_for_folds(path):
+        # `run_cv` checks --folds against the labels
+        if flag != "--folds":
+            no_work()
+        return load_tu_dataset(path)
+    monkeypatch.setattr(cli, "load_tu_dataset", load_for_folds)
+    for target in ("wl2gnn.graphs._sample_triangle_graph",
+                   "wl2gnn.bench.train_model", "wl2gnn.bench._sweep_rows"):
+        monkeypatch.setattr(target, no_work)
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert [ln for ln in err.splitlines() if "error:" in ln] == \
+        err.strip().splitlines()[-1:], err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "gen").exists()
 
 
 def test_readme_command_lines_parse():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -373,6 +374,24 @@ def assert_same_encoding(fast, slow):
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
     assert (fast.n_graphs, fast.radius) == (slow.n_graphs, slow.radius)
+
+
+def test_power_stops_expanding_once_complete(monkeypatch):
+    # one gather per frontier step that reaches a new pair, one for the
+    # step that reaches none, and one for the triples: C6 has diameter 3
+    g = cycle_graph(6)
+    full = encode(g, g.n - 1)
+    calls = []
+    gather = encoding._csr_gather
+
+    def counted(ptr, keys):
+        calls.append(len(keys))
+        return gather(ptr, keys)
+    monkeypatch.setattr(encoding, "_csr_gather", counted)
+    for r in (5, 10 ** 6):
+        calls.clear()
+        assert_same_encoding(encode(g, r), replace(full, radius=r))
+        assert len(calls) <= 3 + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -307,11 +307,12 @@ _TRIANGLE_WRONG = {
 }
 _TRIANGLE_CONFIGS = st.builds(
     TriangleConfig,
-    vertex_counts=st.lists(st.integers(1, 40), max_size=4).map(tuple),
+    vertex_counts=st.lists(st.integers(1, 40), min_size=1,
+                           max_size=4).map(tuple),
     proportions=st.lists(st.floats(0, 1).map(lambda p: (p, 1 - p)),
-                         max_size=3).map(tuple),
+                         min_size=1, max_size=3).map(tuple),
     densities=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                       max_size=3).map(tuple),
+                       min_size=1, max_size=3).map(tuple),
     samples_per_cell=st.integers(1, 10),
     max_attempts_per_cell=st.integers(1, 10 ** 4))
 
@@ -343,11 +344,22 @@ def test_a_triangle_config_that_exists_is_valid(config, data):
                                       r"that sum to 1, got \(1.5, -0.5\)"),
     ({"proportions": ((0.5, 0.3),)}, r"proportions must be pairs in \[0, 1\] "
                                      r"that sum to 1, got \(0.5, 0.3\)"),
+    # a scalar failed to iterate with TypeError, and an empty grid field
+    # gave an empty dataset without a warning
+    ({"densities": 0.25}, "densities must be a non-empty tuple or list, "
+                          "got 0.25"),
+    ({"vertex_counts": 8}, "vertex_counts must be a non-empty tuple or list, "
+                           "got 8"),
+    ({"proportions": (0.5, 0.5)}, "proportions must be pairs"),
+    ({"densities": ()}, r"densities must be a non-empty tuple or list, "
+                        r"got \(\)"),
+    ({"proportions": []}, r"proportions must be a non-empty tuple or list, "
+                          r"got \[\]"),
 ])
 def test_triangle_config_rejects_what_no_cell_can_use(fields, message):
     with pytest.raises(ValueError, match=message):
-        generate_triangle_dataset(0, TriangleConfig(vertex_counts=(8,),
-                                                    **fields))
+        generate_triangle_dataset(0, TriangleConfig(
+            **{"vertex_counts": (8,), **fields}))
     with pytest.raises(FrozenInstanceError):
         TriangleConfig().samples_per_cell = 0
 
