@@ -335,7 +335,8 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     if config.workers > 1:
         # the pool starts all its workers at once, so no more than folds
         with ProcessPoolExecutor(max_workers=min(config.workers,
-                                                 config.folds)) as pool:
+                                                 config.folds),
+                                 initializer=_one_blas_thread_worker) as pool:
             per_fold = list(pool.map(fold_task, range(config.folds), splits))
     else:
         per_fold = list(map(fold_task, range(config.folds), splits))
@@ -406,13 +407,30 @@ def write_results_csv(results, path):
 
 
 def read_results_csv(path):
+    """The `FoldResult`s of a results CSV; a row with missing or extra
+    fields, or with a value its column's type cannot parse, raises a
+    `ValueError` naming its `path:line`."""
     types = get_type_hints(FoldResult)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != tuple(types):
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        return [FoldResult(**{k: t(row[k]) for k, t in types.items()})
-                for row in reader]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if tuple(header or ()) != tuple(types):
+            raise ValueError(f"{path}: unexpected columns {header}")
+        results = []
+        for row in filter(None, reader):  # blank lines hold no row
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(types):
+                raise ValueError(f"{where}: expected {len(types)} fields, "
+                                 f"got {len(row)}")
+            values = {}
+            for (name, kind), text in zip(types.items(), row):
+                try:
+                    values[name] = kind(text)
+                except ValueError:
+                    raise ValueError(f"{where}: {name} must be "
+                                     f"{kind.__name__}, got {text!r}") from None
+            results.append(FoldResult(**values))
+        return results
 
 
 @dataclass
@@ -562,6 +580,15 @@ def _one_blas_thread():
         yield
     finally:
         set_(saved)
+
+
+def _one_blas_thread_worker():
+    """Pool initializer: numpy's bundled OpenBLAS on one thread, so that
+    the workers' BLAS threads do not outnumber the cores; a no-op where
+    `_openblas_threads` finds no such library."""
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[1](1)
 
 
 def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,

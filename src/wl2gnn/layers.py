@@ -32,7 +32,7 @@ batching, and one conv layer's parameters and forward step.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
 from numbers import Real
 
@@ -63,9 +63,6 @@ class Dense:
     def apply(self, z):
         return ACTIVATIONS[self.act](T.add(T.matmul(z, self.w), self.b))
 
-    def tensors(self):
-        return [self.w, self.b]
-
 
 @dataclass
 class Mlp:
@@ -75,9 +72,6 @@ class Mlp:
         for layer in self.layers:
             z = layer.apply(z)
         return z
-
-    def tensors(self):
-        return [t for layer in self.layers for t in layer.tensors()]
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +85,6 @@ class Wl2LayerParams:
     w_g: Tensor
     act: str = "logistic"        # sigma, applied to the full update
     act_gamma: str = "logistic"  # sigma_g, applied to neighbor pair sums
-
-    def tensors(self):
-        return [self.w_l, self.w_f, self.w_g]
 
 
 def wl2_conv(enc, z, params):
@@ -168,9 +159,6 @@ class GinLayerParams:
     eps: float
     mlp: Mlp
 
-    def tensors(self):
-        return self.mlp.tensors()
-
 
 def _neighbor_sum(z, src, dst, n):
     return T.scatter_sum(T.gather(z, src), dst, n)
@@ -194,9 +182,6 @@ class Gnn2LayerParams:
     w: Tensor
     w_g: Tensor
     act: str = "logistic"
-
-    def tensors(self):
-        return [self.w, self.w_g]
 
 
 def gnn2_layer(batch, z, params):
@@ -409,13 +394,19 @@ class ModelParams:
     score: Tensor | None = None
 
     def tensors(self):
-        out = []
-        for conv in self.convs:
-            out.extend(conv.tensors())
-        out.extend(self.head.tensors())
-        if self.score is not None:
-            out.append(self.score)
-        return out
+        """The trainable tensors: every `Tensor` reachable through the
+        records' dataclass fields and lists, in field order, which Adam's
+        moments and the early-stopping snapshot index by position."""
+        def walk(x):
+            if isinstance(x, Tensor):
+                yield x
+            elif isinstance(x, list):
+                for item in x:
+                    yield from walk(item)
+            elif is_dataclass(x):
+                for f in fields(x):
+                    yield from walk(getattr(x, f.name))
+        return list(walk(self))
 
     def n_params(self):
         return sum(t.data.size for t in self.tensors())
@@ -590,6 +581,12 @@ def simulation_initial_features(g, x, w_self, w_edge):
     return rows
 
 
+def _fixed_wl2_layer(w_l, w_f, w_g, act="identity"):
+    """A pair convolution of constant matrices with identity sigma_g."""
+    return Wl2LayerParams(*map(constant, (w_l, w_f, w_g)), act=act,
+                          act_gamma="identity")
+
+
 def _sum_step_one(d):
     """(ind, z, w) -> (ind, s, w, a): s collects own features gated by
     pair weights, a mirrors weighted own features for the next step."""
@@ -602,9 +599,7 @@ def _sum_step_one(d):
     w_g = np.zeros((d + 2, 2 * d + 2))
     w_g[1:d + 1, d + 2:] = np.eye(d)
     w_g[d + 1, 1:d + 1] = 1.0
-    return Wl2LayerParams(w_l=constant(w_l), w_f=constant(w_f),
-                          w_g=constant(w_g), act="identity",
-                          act_gamma="identity")
+    return _fixed_wl2_layer(w_l, w_f, w_g)
 
 
 def _sum_step_two(d):
@@ -618,9 +613,7 @@ def _sum_step_two(d):
     w_f[0, 1:d + 1] = 0.5
     w_g = np.zeros((2 * d + 2, d + 2))
     w_g[d + 2:, 1:d + 1] = np.eye(d)
-    return Wl2LayerParams(w_l=constant(w_l), w_f=constant(w_f),
-                          w_g=constant(w_g), act="identity",
-                          act_gamma="identity")
+    return _fixed_wl2_layer(w_l, w_f, w_g)
 
 
 def _mlp_step(m, act):
@@ -630,8 +623,7 @@ def _mlp_step(m, act):
     w_l[1:d_in + 1, 1:d_out + 1] = m
     w_l[d_in + 1, d_out + 1] = 1.0
     zeros = np.zeros((d_in + 2, d_out + 2))
-    return Wl2LayerParams(w_l=constant(w_l), w_f=constant(zeros),
-                          w_g=constant(zeros), act=act, act_gamma="identity")
+    return _fixed_wl2_layer(w_l, zeros, zeros, act)
 
 
 def build_simulation_stack(spec, in_dim):

@@ -38,7 +38,8 @@ output and one slot's rows at a time, no more than `np.add.at` would.
 One stable argsort of the index finds its sources' order. Batches hold
 their indices as `ScatterIndex`es, so every layer of a forward and
 backward pass shares one count and one plan per index; a plain array is
-wrapped afresh on each call.
+wrapped afresh on each call. A float or bool index raises a `ValueError`
+naming its dtype.
 
 Inside `with no_graph():` ops record nothing: every node they build has
 no parents, no backward closure and no gradient, so a forward pass that
@@ -193,7 +194,13 @@ class ScatterIndex:
     __slots__ = ("idx", "_counts", "_plan", "_acc")
 
     def __init__(self, idx):
-        self.idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        # a cast would truncate 0.7 to row 0 and read True as row 1; an
+        # empty list comes out as float64
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"a row index must hold integers, got dtype "
+                             f"{idx.dtype}")
+        self.idx = idx.astype(np.int64, copy=False)
         self._counts = None
         self._plan = None
         self._acc = np.empty(0)

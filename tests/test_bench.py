@@ -338,13 +338,31 @@ def test_run_cv_parallel_matches_serial():
                [(r.fold, r.test_acc) for r in parallel]
 
 
+def _fold_blas_threads(cache, labels, grid, config, dataset, fold, split):
+    """Stands in for `bench._run_fold` in a pool worker: one row whose
+    `epochs` is the worker's OpenBLAS thread count."""
+    return [FoldResult(dataset=dataset, model="m", params=0, fold=fold,
+                       repeat=0, train_acc=0.0, test_acc=0.0,
+                       epochs=bench._openblas_threads()[0](), seconds=0.0)]
+
+
+def test_run_cv_workers_run_on_one_blas_thread(monkeypatch):
+    if bench._openblas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread controls here")
+    monkeypatch.setattr(bench, "_run_fold", _fold_blas_threads)
+    graphs, labels = separable_dataset(12)
+    results = run_cv(graphs, labels, [BASELINE],
+                     quick_config(folds=3, repeats=1, workers=2))
+    assert [r.epochs for r in results] == [1, 1, 1]
+
+
 def test_run_cv_starts_at_most_one_worker_per_fold(monkeypatch):
     # the pool starts all its workers at its first task, so more workers
     # than folds would start idle processes
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -570,6 +588,41 @@ def test_read_results_csv_rejects_wrong_header(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_results_csv(bad)
+
+
+def _deltas_on_broken_row(tmp_path, capsys, edit):
+    """Runs `wl2gnn deltas` on a good results file against a copy whose
+    second data row (line 3) `edit` rewrites; returns the exit code, the
+    stderr lines and the copy's path."""
+    good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_results_csv(rows([0.9, 0.8, 0.7]), good)
+    lines = good.read_text().splitlines()
+    lines[2] = edit(lines[2].split(","))
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["deltas", "--a", str(good), "--b", str(bad)])
+    return code, capsys.readouterr().err.strip().splitlines(), bad
+
+
+def test_deltas_exits_2_on_a_results_row_with_missing_fields(tmp_path, capsys):
+    code, err, bad = _deltas_on_broken_row(
+        tmp_path, capsys, lambda fields: ",".join(fields[:5]))
+    assert code == 2
+    assert err == [f"error: {bad}:3: expected 9 fields, got 5"]
+
+
+def test_deltas_exits_2_on_a_results_row_with_an_extra_field(tmp_path, capsys):
+    code, err, bad = _deltas_on_broken_row(
+        tmp_path, capsys, lambda fields: ",".join(fields + ["0.5"]))
+    assert code == 2
+    assert err == [f"error: {bad}:3: expected 9 fields, got 10"]
+
+
+def test_deltas_exits_2_on_a_results_value_of_the_wrong_type(tmp_path, capsys):
+    code, err, bad = _deltas_on_broken_row(
+        tmp_path, capsys, lambda fields: ",".join(fields[:2] + ["x"]
+                                                  + fields[3:]))
+    assert code == 2
+    assert err == [f"error: {bad}:3: params must be int, got 'x'"]
 
 
 # ------------------------------------------------------------------- deltas

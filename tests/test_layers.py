@@ -323,6 +323,14 @@ def test_pooling_rejects_a_segment_entry_outside_its_graphs(mode, entry):
         pool_segments(z, mode, np.array([0, 1]), 2, scores=scores)
 
 
+@pytest.mark.parametrize("mode", ["sum", "mean", "min", "weighted_mean"])
+def test_pooling_rejects_a_float_segment_index(mode):
+    z = constant(np.array([[3.0], [2.0], [-9.0]]))
+    scores = constant(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="got dtype float64"):
+        pool_segments(z, mode, np.array([0.0, 0.5, 1.9]), 2, scores=scores)
+
+
 def test_min_pool_separates_prop_4_5_values():
     outs = {}
     for name, g in (("c6", cycle_graph(6)), ("tri", two_triangles())):
@@ -423,6 +431,38 @@ _POOLS = ("mean", "sum", "weighted_mean")
 ALL_SPECS = [ModelSpec(layer=name, t=2, d=6, r=2, pool=_POOLS[k % 3],
                        act=("logistic", "relu")[k % 2], lr=1e-3)
              for k, name in enumerate(FAMILIES)]
+
+
+def _closed_form_counts(layer, pool, t, d, d_in):
+    """(tensor count, scalar count) of a model by the families' layer
+    shapes: per conv, wl2 has three matrices, gnn2 two, gin a two-layer
+    MLP with biases and the baseline one dense layer; then the head's
+    two dense layers and, for weighted_mean, the score vector."""
+    dims = [d_in] + [d] * t
+    per_conv = {
+        "wl2": lambda a, b: (3, 3 * a * b),
+        "gnn2": lambda a, b: (2, 2 * a * b),
+        "gin": lambda a, b: (4, a * d + d + d * b + b),
+        "baseline": lambda a, b: (2, a * b + b),
+    }[layer]
+    convs = [per_conv(a, b) for a, b in zip(dims, dims[1:])]
+    head = (4, d * d + d + d + 1)
+    score = (1, d) if pool == "weighted_mean" else (0, 0)
+    return tuple(map(sum, zip(*convs, head, score)))
+
+
+@pytest.mark.parametrize("pool_mode", _POOLS)
+@pytest.mark.parametrize("layer", FAMILIES)
+def test_parameter_count_has_a_closed_form(layer, pool_mode):
+    t, d, d_in = 3, 5, 7
+    params = init_model_params(ModelSpec(layer=layer, t=t, d=d,
+                                         pool=pool_mode), d_in, seed=0)
+    tensors = params.tensors()
+    # the same count from distinct tensors, so none is missed or listed twice
+    assert len({id(x) for x in tensors}) == len(tensors)
+    assert all(x.requires_grad for x in tensors)
+    assert (len(tensors), params.n_params()) == \
+        _closed_form_counts(layer, pool_mode, t, d, d_in)
 
 
 def featured(n, edges, seed):

@@ -67,6 +67,23 @@ def test_gathers_reject_an_entry_outside_their_rows(op, entry):
             gathers[op]()
 
 
+@pytest.mark.parametrize("idx, dtype", [([0.7, 2.2], "float64"),
+                                        ([True, False, True], "bool")])
+def test_row_indices_reject_a_non_integer_dtype(idx, dtype):
+    # a cast to int64 would read rows 0 and 2 for [0.7, 2.2], and rows
+    # 1, 0, 1 for the mask
+    z = leaf(np.arange(6.0).reshape(3, 2))
+    message = f"a row index must hold integers, got dtype {dtype}"
+    with pytest.raises(ValueError, match=message):
+        T.gather(z, idx)
+    with pytest.raises(ValueError, match=message):
+        T.scatter_sum(leaf(np.ones((len(idx), 2))), idx, 2)
+    # an empty list comes out of numpy as float64, and stays valid
+    assert T.gather(z, []).shape == (0, 2)
+    assert np.array_equal(T.scatter_sum(leaf(np.ones((0, 2))), [], 3).data,
+                          np.zeros((3, 2)))
+
+
 def test_scatter_sum_accumulates_duplicates():
     x = leaf([[1.0], [2.0], [4.0]])
     out = T.scatter_sum(x, np.array([0, 0, 1]), 3)
