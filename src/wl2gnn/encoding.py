@@ -186,22 +186,18 @@ def _encode_run(graphs, r):
     src, dst = pairs_of(power)
     power_ptr = _offsets(np.bincount(src, minlength=N))
 
-    # rows per graph: its loops, then its proper pairs; the q-th proper
-    # pair of the union lands on row voff[g + 1] + q
-    upper = src < dst
-    up_src, up_dst = src[upper], dst[upper]
-    proper = np.bincount(gid[up_src], minlength=len(graphs))
-    loop_row = np.arange(N) + _offsets(proper)[gid]
-    up_row = voff[gid[up_src] + 1] + np.arange(len(up_src))
+    # rows per graph: its loops, then its proper pairs, by a stable sort
+    # of the power pairs u <= v, which come in (graph, u, v) order
+    upper = src <= dst
+    u, v = src[upper], dst[upper]
+    row_graph = gid[u]
+    order = np.lexsort((u != v, row_graph))
+    rows = np.column_stack([u[order], v[order]])
+    m = len(rows)
     row_of = np.empty(n_codes, dtype=np.int64)
-    row_of[cbase + np.arange(N)] = loop_row
-    row_of[cbase[up_src] + up_dst] = up_row
-    row_of[cbase[up_dst] + up_src] = up_row
-    m = N + len(up_row)
-    rows = np.empty((m, 2), dtype=np.int64)
-    rows[loop_row] = np.arange(N)[:, None]
-    rows[up_row, 0] = up_src
-    rows[up_row, 1] = up_dst
+    row_of[power[upper][order]] = np.arange(m)
+    row_of[cbase[rows[:, 1]] + rows[:, 0]] = np.arange(m)
+    loop_row = row_of[cbase + np.arange(N)]
 
     dv = graphs[0].vertex_features.shape[1]
     de = graphs[0].edge_features.shape[1]
@@ -245,7 +241,7 @@ def _encode_run(graphs, r):
     # each graph gets arrays of its own, counting rows and vertices from
     # 0: views would keep the run's arrays alive as long as any unit, and
     # that heap layout made later training steps page-fault far more
-    rb = _offsets(sizes + proper).tolist()
+    rb = _offsets(np.bincount(row_graph, minlength=len(graphs))).tolist()
     tb = _offsets(np.add.reduceat(counts, rb[:-1])).tolist()
     vb = voff.tolist()
     out = []
@@ -261,12 +257,12 @@ def _encode_run(graphs, r):
 
 def edge_neighborhood_pairs(graphs):
     """The edges of `edge_neighborhood_graph(g)` for every graph of a
-    list, as (p, 2) int64 arrays of the rows of `encode(g, 1)`, in the
-    same canonical order: the loop of v meets each edge at v, then two
-    edges meet at their shared endpoint.
+    list, as (p, 2) int64 arrays of the rows of `encode(g, 1)`, sorted:
+    two rows are joined when they share a vertex, so the loop of v meets
+    each edge at v, and two edges meet at their shared endpoint.
 
-    Works on the disjoint union, with each vertex's incident edges in
-    canonical order; no per-graph `Graph` is built.
+    Works on the disjoint union, by the rows that hold each vertex; no
+    per-graph `Graph` is built.
     """
     graphs = list(graphs)
     if not graphs:
@@ -280,23 +276,20 @@ def edge_neighborhood_pairs(graphs):
         raise GraphError(f"graph {k} has a self-loop at vertex {v}: the edge "
                          "neighborhood graph expects a loop-free base graph")
     # rows of the radius-1 encodings, one after another: graph g's loop
-    # v on row v + eoff[g], its edge k on row voff[g + 1] + eoff[g] + k
-    n_edges = len(base)
+    # v on row v + eoff[g], its edge k on row voff[g + 1] + eoff[g] + k.
+    # Two rows meet at each vertex that both hold, and two rows of a
+    # simple graph share at most one vertex, so each pair comes once
+    N = int(voff[-1])
     vgid = np.repeat(np.arange(len(graphs)), np.diff(voff))
-    egid = np.repeat(np.arange(len(graphs)), np.diff(eoff))
-    edge_row = voff[egid + 1] + np.arange(n_edges)
-    vert = base.T.ravel()
-    edge = np.tile(np.arange(n_edges), 2)
-    order = np.lexsort((edge, vert))
-    vert, edge = vert[order], edge[order]
-    # each incidence meets the later ones of its vertex
-    owner, pos = _csr_gather(_offsets(np.bincount(vert, minlength=voff[-1])),
-                             vert)
+    edge_row = voff[vgid[base[:, 0]] + 1] + np.arange(len(base))
+    vert = np.concatenate([np.arange(N), base.T.ravel()])
+    row = np.concatenate([np.arange(N) + eoff[vgid], edge_row, edge_row])
+    order = np.lexsort((row, vert))
+    vert, row = vert[order], row[order]
+    owner, pos = _csr_gather(_offsets(np.bincount(vert, minlength=N)), vert)
     later = pos > owner
-    first = np.concatenate([vert + eoff[vgid[vert]],
-                            edge_row[edge[owner[later]]]])
-    second = np.concatenate([edge_row[edge], edge_row[edge[pos[later]]]])
-    keep = np.argsort(first * (voff[-1] + n_edges) + second)
+    first, second = row[owner[later]], row[pos[later]]
+    keep = np.argsort(first * (N + len(base)) + second)
     pairs = np.column_stack([first[keep], second[keep]])
     row_bounds = voff + eoff
     bounds = np.searchsorted(pairs[:, 0], row_bounds).tolist()

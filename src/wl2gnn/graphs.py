@@ -142,43 +142,35 @@ def check_feature_widths(graphs):
 
 
 def cycle_graph(n):
-    if n < 3:
+    """The n-cycle, n >= 3: the circulant with offset 1."""
+    if isinstance(n, INTEGERS) and n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, tuple(edges),
-                 vertex_features=np.ones((n, 1)),
-                 edge_features=np.ones((n, 1)))
+    return circulant_graph(n, [1])
 
 
 def complete_graph(n):
-    if n < 1:
-        raise GraphError(f"complete graph needs at least 1 vertex, got {n}")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, tuple(edges),
-                 vertex_features=np.ones((n, 1)),
-                 edge_features=np.ones((len(edges), 1)))
+    """K_n, n >= 1: the circulant with every offset."""
+    # a count that is no integer fails in `circulant_graph`
+    offsets = range(1, n // 2 + 1) if isinstance(n, INTEGERS) else ()
+    return circulant_graph(n, offsets)
 
 
 def circulant_graph(n, offsets):
-    """Vertices 0..n-1, i adjacent to (i +/- s) mod n for each offset s.
+    """Vertices 0..n-1 (n >= 1), i adjacent to (i +/- s) mod n for each
+    offset s in 1..n//2, every vertex and edge feature 1.
 
     Degree is 2 * len(offsets), minus one for the antipodal offset n/2.
     """
+    if not (isinstance(n, INTEGERS) and n >= 1):
+        raise GraphError(f"vertex count must be an integer of at least 1, "
+                         f"got {n!r}")
     offsets = list(offsets)
-    if n < 3:
-        raise GraphError(f"circulant needs at least 3 vertices, got {n}")
     for s in offsets:
         if not (isinstance(s, INTEGERS) and 1 <= s <= n // 2):
             raise GraphError(f"offset {s} outside 1..{n // 2}")
-    offsets = sorted(set(int(s) for s in offsets))
-    edges = set()
-    for i in range(n):
-        for s in offsets:
-            j = (i + s) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    edges = tuple(sorted(edges))
-    return Graph(n, edges,
+    edges = {tuple(sorted((i, (i + int(s)) % n)))
+             for s in offsets for i in range(n)}
+    return Graph(n, tuple(edges),
                  vertex_features=np.ones((n, 1)),
                  edge_features=np.ones((len(edges), 1)))
 
