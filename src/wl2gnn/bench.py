@@ -31,7 +31,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import tensor as T
-from .graphs import INTEGERS, check_counts, circulant_graph
+from .graphs import check_counts, circulant_graph, is_integer
 from .layers import (ModelSpec, combine_units, format_model_spec,
                      forward_model, init_model_params, input_width,
                      prepare_units)
@@ -67,7 +67,7 @@ class TrainConfig:
         # numpy generators take no negative seed
         for name in ("seed", "lr_patience"):
             value = getattr(self, name)
-            if not isinstance(value, INTEGERS) or value < 0:
+            if not is_integer(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, "
                                  f"got {value!r}")
         if self.target_acc is not None and not (

@@ -30,14 +30,16 @@ class GraphError(ValueError):
     """Raised for structurally invalid graphs or malformed dataset files."""
 
 
-INTEGERS = (int, np.integer)
+def is_integer(value):
+    """Whether `value` is a Python or numpy integer; a bool is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_counts(**counts):
     """Raises `ValueError` naming the first count that is not an integer
     or is below 1."""
     for name, value in counts.items():
-        if not isinstance(value, INTEGERS):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -45,7 +47,7 @@ def check_counts(**counts):
 
 def check_radius(r):
     """Raises `GraphError` unless `r` is an integer of at least 1."""
-    if not isinstance(r, INTEGERS):
+    if not is_integer(r):
         raise GraphError(f"radius must be an integer, got {r!r}")
     if r < 1:
         raise GraphError(f"radius must be >= 1, got {r}")
@@ -69,7 +71,7 @@ class Graph:
     vertex_labels: tuple | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, INTEGERS):
+        if not is_integer(self.n):
             raise GraphError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 0:
             raise GraphError(f"vertex count must be non-negative, got {self.n}")
@@ -77,7 +79,7 @@ class Graph:
         seen = set()
         for e in self.edges:
             i, j = e
-            if not (isinstance(i, INTEGERS) and isinstance(j, INTEGERS)
+            if not (is_integer(i) and is_integer(j)
                     and 0 <= i < self.n and 0 <= j < self.n):
                 raise GraphError(f"edge {e} references a vertex outside 0..{self.n - 1}")
             key = (min(i, j), max(i, j))
@@ -143,7 +145,7 @@ def check_feature_widths(graphs):
 
 def cycle_graph(n):
     """The n-cycle, n >= 3: the circulant with offset 1."""
-    if isinstance(n, INTEGERS) and n < 3:
+    if is_integer(n) and n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
     return circulant_graph(n, [1])
 
@@ -151,7 +153,7 @@ def cycle_graph(n):
 def complete_graph(n):
     """K_n, n >= 1: the circulant with every offset."""
     # a count that is no integer fails in `circulant_graph`
-    offsets = range(1, n // 2 + 1) if isinstance(n, INTEGERS) else ()
+    offsets = range(1, n // 2 + 1) if is_integer(n) else ()
     return circulant_graph(n, offsets)
 
 
@@ -161,12 +163,12 @@ def circulant_graph(n, offsets):
 
     Degree is 2 * len(offsets), minus one for the antipodal offset n/2.
     """
-    if not (isinstance(n, INTEGERS) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise GraphError(f"vertex count must be an integer of at least 1, "
                          f"got {n!r}")
     offsets = list(offsets)
     for s in offsets:
-        if not (isinstance(s, INTEGERS) and 1 <= s <= n // 2):
+        if not (is_integer(s) and 1 <= s <= n // 2):
             raise GraphError(f"offset {s} outside 1..{n // 2}")
     edges = {tuple(sorted((i, (i + int(s)) % n)))
              for s in offsets for i in range(n)}
@@ -392,7 +394,11 @@ def generate_triangle_dataset(seed, config=None):
     combination must fill up or the combination is dropped entirely.
     Without the pairing, combinations where only one class is feasible
     would make labels predictable from color counts alone.
+
+    A seed that is not a non-negative integer raises `ValueError`.
     """
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     config = config or TriangleConfig()
     rng = np.random.default_rng(seed)
     graphs, labels, warnings = [], [], []
@@ -594,15 +600,32 @@ def load_tu_dataset(path):
     return graphs, labels
 
 
+def _write_table(path, rows):
+    """Writes a float matrix one comma separated line per row, in the
+    shortest form that reads back exactly."""
+    with open(path, "w") as fh:
+        for row in rows.tolist():
+            fh.write(", ".join(map(repr, row)) + "\n")
+
+
 def save_tu_dataset(graphs, labels, path, name):
     """Writes graphs in the TU text format (edges in both directions).
-    A graph with no vertices, which the format cannot hold, raises
-    `GraphError`, and a label count other than the graph count raises
-    `ValueError`, both before any directory or file is made."""
+
+    When every graph carries vertex labels they are written, and the
+    loader reads back their one-hot columns in place of the vertex
+    features; otherwise vertex features of width above 0 are written as
+    node attributes. Edge features of width above 0 are written as edge
+    attributes, one row per line of `_A.txt`.
+
+    A graph with no vertices, which the format cannot hold, or feature
+    widths that differ between graphs raise `GraphError`, and a label
+    count other than the graph count raises `ValueError`, all before
+    any directory or file is made."""
     for k, g in enumerate(graphs):
         if g.n == 0:
             raise GraphError(f"graph {k} has no vertices: the TU format "
                              "cannot hold it")
+    check_feature_widths(graphs)
     if len(labels) != len(graphs):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
     os.makedirs(path, exist_ok=True)
@@ -625,3 +648,9 @@ def save_tu_dataset(graphs, labels, path, name):
             for g in graphs:
                 for lab in g.vertex_labels:
                     fh.write(f"{lab}\n")
+    elif graphs[0].vertex_features.shape[1]:
+        _write_table(f"{prefix}_node_attributes.txt",
+                     np.vstack([g.vertex_features for g in graphs]))
+    if graphs and graphs[0].edge_features.shape[1]:
+        _write_table(f"{prefix}_edge_attributes.txt", np.vstack(
+            [g.edge_features for g in graphs]).repeat(2, axis=0))

@@ -155,13 +155,14 @@ def test_train_model_rejects_counts_below_one():
                         TrainConfig(**fields), seed=0)
 
 
-_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None)
+_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None, True,
+                False)
 # `folds` is left to `run_cv`, which checks it against the labels
 _CONFIG_WRONG = {
     **{field: _COUNT_WRONG
        for field in ("epochs", "patience", "batch_size", "repeats", "workers")},
-    "seed": (-1, 1.5, float("nan"), "0", None),
-    "lr_patience": (-1, 0.5, float("inf"), "2", None),
+    "seed": (-1, 1.5, float("nan"), "0", None, True, False),
+    "lr_patience": (-1, 0.5, float("inf"), "2", None, True, False),
     "holdout": (0, 1, -0.5, 1.5, float("nan"), float("inf"), "0.1", None),
     "target_acc": (0, -0.5, 1.5, 2.0, float("nan"), float("inf"), "0.9"),
 }
@@ -193,6 +194,9 @@ def test_a_train_config_that_exists_is_valid(config, data):
                                    r"\(0, 1\], got nan"),
     ({"target_acc": 2.0}, r"target_acc must be None or lie in \(0, 1\], "
                           r"got 2.0"),
+    # a bool is no count or seed
+    ({"epochs": True}, "epochs must be an integer, got True"),
+    ({"seed": False}, "seed must be a non-negative integer, got False"),
 ])
 def test_train_config_rejects_what_training_cannot_use(fields, message):
     # before `train_model` reads it: a patience of 0 stopped after the

@@ -151,6 +151,9 @@ def test_radius_must_be_positive():
 def test_radius_must_be_an_integer():
     with pytest.raises(GraphError, match="radius must be an integer, got 1.5"):
         encode(cycle_graph(3), 1.5)
+    # True was stored as the encoding's radius
+    with pytest.raises(GraphError, match="radius must be an integer, got True"):
+        encode(cycle_graph(3), True)
 
 
 # ---------------------------------------------------------------- batching

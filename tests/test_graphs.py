@@ -93,6 +93,12 @@ def test_out_of_range_vertex_rejected():
     with pytest.raises(GraphError, match="vertex count must be an integer, "
                                          "got 2.5"):
         Graph(2.5, ())
+    # nor are bools, although bool subclasses int
+    with pytest.raises(GraphError, match="vertex count must be an integer, "
+                                         "got True"):
+        Graph(True, ())
+    with pytest.raises(GraphError, match=r"edge \(True, 2\) references"):
+        Graph(3, ((True, 2),))
     assert Graph(np.int64(3), ((np.int32(0), np.int64(2)),)).edges == ((0, 2),)
 
 
@@ -152,6 +158,38 @@ def test_circulant_rejects_bad_offset():
         circulant_graph(6, {4})
     with pytest.raises(GraphError, match=r"offset 1.5 outside 1..4"):
         circulant_graph(8, [1.5])
+    with pytest.raises(GraphError, match=r"offset True outside 1..3"):
+        circulant_graph(6, [True])
+
+
+def test_small_circulants_are_k1_and_k2():
+    # offsets stay in 1..n//2, so the smallest circulants are complete
+    assert circulant_graph(1, []).edges == ()
+    assert circulant_graph(2, [1]).edges == ((0, 1),)
+    assert circulant_graph(2, [1]).edge_features.tolist() == [[1.0]]
+
+
+def test_cycles_and_complete_graphs_are_circulants():
+    for n in range(3, 40):
+        assert cycle_graph(n).edges == tuple(sorted(
+            (min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
+    for n in range(1, 25):
+        g = complete_graph(n)
+        assert g.edges == tuple(itertools.combinations(range(n), 2))
+        assert g.vertex_features.shape == (n, 1)
+        assert g.edge_features.shape == (n * (n - 1) // 2, 1)
+
+
+@pytest.mark.parametrize("make,args,shown", [
+    (cycle_graph, (3.0,), "3.0"), (complete_graph, (2.0,), "2.0"),
+    (circulant_graph, (6.0, [1]), "6.0"), (complete_graph, (True,), "True"),
+    (cycle_graph, (True,), "True"), (complete_graph, (0,), "0"),
+    (circulant_graph, (0, []), "0"), (circulant_graph, ("6", [1]), "'6'"),
+])
+def test_generators_name_a_vertex_count_they_cannot_use(make, args, shown):
+    with pytest.raises(GraphError, match="vertex count must be an integer "
+                                         f"of at least 1, got {shown}"):
+        make(*args)
 
 
 def test_disjoint_union_two_triangles():
@@ -296,11 +334,12 @@ SMALL = TriangleConfig(vertex_counts=(6, 8, 10), samples_per_cell=2,
                        max_attempts_per_cell=4000)
 
 
-_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None)
+_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None, True,
+                False)
 # a wrong value for one entry of each tuple field
 _TRIANGLE_WRONG = {
     "samples_per_cell": _COUNT_WRONG, "max_attempts_per_cell": _COUNT_WRONG,
-    "vertex_counts": (8.5, float("nan"), 0, -2, "8", None),
+    "vertex_counts": (8.5, float("nan"), 0, -2, "8", None, True, False),
     "densities": (float("nan"), float("inf"), -float("inf"), "0.5", None),
     "proportions": ((1.5, -0.5), (0.5, 0.3), (float("nan"),) * 2, (0.5,),
                     (0.25, 0.25, 0.5), (0.5, (0.5,)), ("a", "b"), 0.5, None),
@@ -355,6 +394,9 @@ def test_a_triangle_config_that_exists_is_valid(config, data):
                         r"got \(\)"),
     ({"proportions": []}, r"proportions must be a non-empty tuple or list, "
                           r"got \[\]"),
+    # a bool is no vertex count
+    ({"vertex_counts": (8, True)}, "vertex_counts must be an integer, "
+                                   "got True"),
 ])
 def test_triangle_config_rejects_what_no_cell_can_use(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -362,6 +404,17 @@ def test_triangle_config_rejects_what_no_cell_can_use(fields, message):
             **{"vertex_counts": (8,), **fields}))
     with pytest.raises(FrozenInstanceError):
         TriangleConfig().samples_per_cell = 0
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+def test_triangle_dataset_rejects_a_seed_before_the_first_draw(seed,
+                                                               monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("a generator was made")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         f"integer, got {seed!r}"):
+        generate_triangle_dataset(seed, SMALL)
 
 
 def test_triangle_density_out_of_range_skips_its_cells():
@@ -549,6 +602,59 @@ def test_tu_writer_rejects_what_its_loader_rejects(tmp_path, sizes, n_labels,
     with pytest.raises(error, match=message):
         save_tu_dataset(graphs, [0, 1, 1][:n_labels], tmp_path / "BAD", "BAD")
     assert not (tmp_path / "BAD").exists()
+
+
+def test_tu_writer_rejects_mixed_feature_widths(tmp_path):
+    graphs = [Graph(2, ((0, 1),)), Graph(2, ((0, 1),), edge_features=[[1.0]])]
+    with pytest.raises(GraphError, match=r"graph 1 has vertex and edge "
+                       r"feature widths \(0, 1\), graph 0 has \(0, 0\)"):
+        save_tu_dataset(graphs, [0, 1], tmp_path / "BAD", "BAD")
+    assert not (tmp_path / "BAD").exists()
+
+
+def test_tu_writer_writes_the_features_its_loader_reads(tmp_path):
+    # vertex features were read back as ones, and edge features dropped
+    graphs = [Graph(3, ((0, 1), (1, 2)), vertex_features=[[0.5], [2], [3]],
+                    edge_features=[[7], [8]]),
+              Graph(2, ((1, 0),), vertex_features=[[-1e-300], [1 / 3]],
+                    edge_features=[[0.1]])]
+    save_tu_dataset(graphs, [0, 1], tmp_path / "F", "F")
+    back, _ = load_tu_dataset(tmp_path / "F")
+    for a, b in zip(graphs, back):
+        assert (b.n, b.edges, b.vertex_labels) == (a.n, a.edges, None)
+        np.testing.assert_array_equal(b.vertex_features, a.vertex_features)
+        np.testing.assert_array_equal(b.edge_features, a.edge_features)
+    # no vertex features to write: the loader gives each vertex a 1
+    save_tu_dataset([Graph(2, ((0, 1),))] * 2, [0, 1], tmp_path / "Z", "Z")
+    assert sorted(p.name for p in (tmp_path / "Z").iterdir()) == [
+        "Z_A.txt", "Z_graph_indicator.txt", "Z_graph_labels.txt"]
+    assert load_tu_dataset(tmp_path / "Z")[0][0].vertex_features.tolist() \
+        == [[1.0], [1.0]]
+
+
+def _tu_files_digest(directory):
+    """sha-256 over the name and bytes of every file, by name."""
+    h = hashlib.sha256()
+    for f in sorted(directory.iterdir()):
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+def test_tu_writer_keeps_labelled_graphs_files(tmp_path):
+    # labelled graphs without edge features: the same four files, byte
+    # for byte, as the writer gave before it wrote attributes
+    from test_acceptance import _synthetic_tu_corpus
+    graphs, labels, _ = generate_triangle_dataset(3, TriangleConfig(
+        vertex_counts=(6, 8), samples_per_cell=1, max_attempts_per_cell=4000))
+    save_tu_dataset(graphs, labels, tmp_path / "TRI", "TRI")
+    _synthetic_tu_corpus(tmp_path)
+    assert len(list((tmp_path / "TRI").iterdir())) == 4
+    assert _tu_files_digest(tmp_path / "TRI") == \
+        "8c5d941af9d6a88bb2588b3abd7a6b6f4301be6a58118269df562e1859d2fef1"
+    assert len(list((tmp_path / "SMOKE").iterdir())) == 4
+    assert _tu_files_digest(tmp_path / "SMOKE") == \
+        "a2277fc010564f0788144fb124e7d44e154a73cf84d48de436ff923765f9f12f"
 
 
 @st.composite

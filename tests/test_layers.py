@@ -356,6 +356,8 @@ def test_model_spec_validation_errors():
         dict(layer="gin", t=1, d=4, r=1, pool="nope", act="relu", lr=1e-3),
         dict(layer="what", t=1, d=4, r=1, pool="mean", act="relu", lr=1e-3),
         dict(layer="wl2", t=1, d=4, r=1, pool="mean", act="tanh", lr=1e-3),
+        # formatted as T=True, which parse_model_spec rejected
+        dict(layer="wl2", t=True, d=4, r=1, pool="mean", act="relu", lr=1e-3),
     ]
     for fields in bad:
         with pytest.raises(ValueError):
@@ -363,8 +365,9 @@ def test_model_spec_validation_errors():
 
 
 # wrong values per field: a float for an int, NaN, inf, 0, a negative, a
-# wrong type, an unknown name
-_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None)
+# wrong type, a bool, an unknown name
+_COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None, True,
+                False)
 _SPEC_WRONG = {
     "layer": ("nope", 3, None), "pool": ("max", 3, None),
     "act": ("tanh", 3, None), "t": _COUNT_WRONG, "d": _COUNT_WRONG,
