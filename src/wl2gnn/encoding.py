@@ -131,13 +131,19 @@ def _union_edges(graphs, voff):
     return base, _offsets(counts)
 
 
+def _ranges(starts, ends):
+    """Every position starts[k] .. ends[k] - 1 for each k, in order;
+    returns (k, position) per gathered entry."""
+    counts = ends - starts
+    owner = np.repeat(np.arange(len(starts)), counts)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return owner, np.arange(len(owner)) + shift
+
+
 def _csr_gather(ptr, keys):
     """Every position ptr[k] .. ptr[k + 1] - 1 for each k in `keys`, in
     order; returns (index into `keys`, position) per gathered entry."""
-    counts = ptr[keys + 1] - ptr[keys]
-    owner = np.repeat(np.arange(len(keys)), counts)
-    shift = np.repeat(ptr[keys] - (np.cumsum(counts) - counts), counts)
-    return owner, np.arange(len(owner)) + shift
+    return _ranges(ptr[keys], ptr[keys + 1])
 
 
 def _encode_run(graphs, r):
@@ -286,9 +292,10 @@ def edge_neighborhood_pairs(graphs):
     row = np.concatenate([np.arange(N) + eoff[vgid], edge_row, edge_row])
     order = np.lexsort((row, vert))
     vert, row = vert[order], row[order]
-    owner, pos = _csr_gather(_offsets(np.bincount(vert, minlength=N)), vert)
-    later = pos > owner
-    first, second = row[owner[later]], row[pos[later]]
+    # each incidence meets the later ones of its vertex
+    ends = _offsets(np.bincount(vert, minlength=N))[vert + 1]
+    owner, pos = _ranges(np.arange(1, len(vert) + 1), ends)
+    first, second = row[owner], row[pos]
     keep = np.argsort(first * (N + len(base)) + second)
     pairs = np.column_stack([first[keep], second[keep]])
     row_bounds = voff + eoff
