@@ -617,14 +617,20 @@ def save_tu_dataset(graphs, labels, path, name):
     node attributes. Edge features of width above 0 are written as edge
     attributes, one row per line of `_A.txt`.
 
-    A graph with no vertices, which the format cannot hold, or feature
-    widths that differ between graphs raise `GraphError`, and a label
-    count other than the graph count raises `ValueError`, all before
-    any directory or file is made."""
+    A graph with no vertices, which the format cannot hold, a non-finite
+    feature to write, which the loader rejects, or feature widths that
+    differ between graphs raise `GraphError`, and a label count other
+    than the graph count raises `ValueError`, all before any directory
+    or file is made."""
+    labelled = all(g.vertex_labels is not None for g in graphs)
     for k, g in enumerate(graphs):
         if g.n == 0:
             raise GraphError(f"graph {k} has no vertices: the TU format "
                              "cannot hold it")
+        if not (np.isfinite(g.edge_features).all() and (
+                labelled or np.isfinite(g.vertex_features).all())):
+            raise GraphError(f"graph {k} has a non-finite feature, which "
+                             "the TU loader rejects")
     check_feature_widths(graphs)
     if len(labels) != len(graphs):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
@@ -643,7 +649,7 @@ def save_tu_dataset(graphs, labels, path, name):
     with open(f"{prefix}_graph_labels.txt", "w") as fh:
         for y in labels:
             fh.write(f"{int(y)}\n")
-    if all(g.vertex_labels is not None for g in graphs):
+    if labelled:
         with open(f"{prefix}_node_labels.txt", "w") as fh:
             for g in graphs:
                 for lab in g.vertex_labels:

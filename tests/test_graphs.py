@@ -612,6 +612,22 @@ def test_tu_writer_rejects_mixed_feature_widths(tmp_path):
     assert not (tmp_path / "BAD").exists()
 
 
+def test_tu_writer_rejects_a_non_finite_feature_it_would_write(tmp_path):
+    edge = Graph(2, ((0, 1),), edge_features=[[np.inf]])
+    vertex = Graph(2, ((0, 1),), vertex_features=[[1.0], [np.nan]])
+    for graphs in ([Graph(2, ((0, 1),), edge_features=[[1.0]]), edge],
+                   [Graph(2, ((0, 1),)), vertex]):
+        with pytest.raises(GraphError, match="graph 1 has a non-finite "
+                                             "feature"):
+            save_tu_dataset(graphs, [0, 1], tmp_path / "BAD", "BAD")
+        assert not (tmp_path / "BAD").exists()
+    # the vertex features of labelled graphs are not written
+    labelled = Graph(2, ((0, 1),), vertex_features=[[np.nan], [1.0]],
+                     vertex_labels=(0, 1))
+    save_tu_dataset([labelled] * 2, [0, 1], tmp_path / "L", "L")
+    assert load_tu_dataset(tmp_path / "L")[0][0].vertex_labels == (0, 1)
+
+
 def test_tu_writer_writes_the_features_its_loader_reads(tmp_path):
     # vertex features were read back as ones, and edge features dropped
     graphs = [Graph(3, ((0, 1), (1, 2)), vertex_features=[[0.5], [2], [3]],
