@@ -169,7 +169,7 @@ def test_small_circulants_are_k1_and_k2():
     assert circulant_graph(2, [1]).edge_features.tolist() == [[1.0]]
 
 
-def test_cycles_and_complete_graphs_are_circulants():
+def test_cycle_and_complete_graph_edges_follow_their_definitions():
     for n in range(3, 40):
         assert cycle_graph(n).edges == tuple(sorted(
             (min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
