@@ -628,12 +628,17 @@ def test_tu_writer_rejects_a_non_finite_feature_it_would_write(tmp_path):
     assert load_tu_dataset(tmp_path / "L")[0][0].vertex_labels == (0, 1)
 
 
+def _featured_graphs():
+    """Two unlabelled graphs with vertex and edge features."""
+    return [Graph(3, ((0, 1), (1, 2)), vertex_features=[[0.5], [2], [3]],
+                  edge_features=[[7], [8]]),
+            Graph(2, ((1, 0),), vertex_features=[[-1e-300], [1 / 3]],
+                  edge_features=[[0.1]])]
+
+
 def test_tu_writer_writes_the_features_its_loader_reads(tmp_path):
     # vertex features were read back as ones, and edge features dropped
-    graphs = [Graph(3, ((0, 1), (1, 2)), vertex_features=[[0.5], [2], [3]],
-                    edge_features=[[7], [8]]),
-              Graph(2, ((1, 0),), vertex_features=[[-1e-300], [1 / 3]],
-                    edge_features=[[0.1]])]
+    graphs = _featured_graphs()
     save_tu_dataset(graphs, [0, 1], tmp_path / "F", "F")
     back, _ = load_tu_dataset(tmp_path / "F")
     for a, b in zip(graphs, back):
@@ -671,6 +676,56 @@ def test_tu_writer_keeps_labelled_graphs_files(tmp_path):
     assert len(list((tmp_path / "SMOKE").iterdir())) == 4
     assert _tu_files_digest(tmp_path / "SMOKE") == \
         "a2277fc010564f0788144fb124e7d44e154a73cf84d48de436ff923765f9f12f"
+
+
+def test_tu_writer_keeps_attribute_files(tmp_path):
+    # unlabelled graphs with vertex and edge attributes: the five files,
+    # byte for byte, that the writer gave when each had a loop of its own
+    graphs = _featured_graphs() + [
+        circulant_graph(n, offsets)
+        for n, offsets in ((5, [1]), (6, [1, 3]), (7, [2, 3]))]
+    save_tu_dataset(graphs, [0, 1, 1, 0, 1], tmp_path / "ATTR", "ATTR")
+    assert len(list((tmp_path / "ATTR").iterdir())) == 5
+    assert _tu_files_digest(tmp_path / "ATTR") == \
+        "bc5432a1a515848f0ee2f84e024e09c9bcb8619237630fe8610a2fe2d1dad13c"
+
+
+@st.composite
+def featured_datasets(draw):
+    """2-5 unlabelled graphs with finite float vertex and edge features,
+    each of one width from 0 to 2."""
+    dv, de = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    graphs = []
+    for g in draw(st.lists(simple_graphs(max_n=6), min_size=2, max_size=5)):
+        vf = draw(st.lists(floats, min_size=g.n * dv, max_size=g.n * dv))
+        ef = draw(st.lists(floats, min_size=g.num_edges * de,
+                           max_size=g.num_edges * de))
+        graphs.append(Graph(g.n, g.edges,
+                            vertex_features=np.reshape(vf, (g.n, dv)),
+                            edge_features=np.reshape(ef, (g.num_edges, de))))
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(featured_datasets())
+def test_tu_round_trip_keeps_features_bit_for_bit(graphs):
+    labels = [k % 2 for k in range(len(graphs))]
+    with tempfile.TemporaryDirectory() as root:
+        save_tu_dataset(graphs, labels, Path(root) / "RT", "RT")
+        back, _ = load_tu_dataset(Path(root) / "RT")
+    assert len(back) == len(graphs)
+    for a, b in zip(graphs, back):
+        assert (b.n, b.edges, b.vertex_labels) == (a.n, a.edges, None)
+        # no vertex features to write: the loader gives each vertex a 1
+        vf = a.vertex_features if a.vertex_features.shape[1] else \
+            np.ones((a.n, 1))
+        # an empty attribute file holds no width: with no edge in the
+        # whole list, the loader reads edge features of width 0
+        ef = a.edge_features if any(g.num_edges for g in graphs) else \
+            np.zeros((0, 0))
+        for want, got in ((vf, b.vertex_features), (ef, b.edge_features)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 @st.composite
