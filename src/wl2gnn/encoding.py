@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .graphs import GraphError, check_feature_widths, check_radius
+from .graphs import (GraphError, _offsets, _union_edges, check_feature_widths,
+                     check_radius)
 # not called here: `graph_power` is the oracle of the row order, and the
 # benchmark's tracer still wraps this name on this module
 from .graphs import graph_power  # noqa: F401
@@ -113,22 +113,6 @@ def encode_all(graphs, r):
     if lo < len(graphs):
         out.extend(_encode_run(graphs[lo:], r))
     return out
-
-
-def _offsets(counts):
-    """[0, c0, c0 + c1, ...] as int64."""
-    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-
-
-def _union_edges(graphs, voff):
-    """The base edges of the disjoint union, as an (E, 2) int64 array of
-    union vertex ids in graph order, and the edge offset of each graph."""
-    counts = [len(g.edges) for g in graphs]
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
-        g.edges for g in graphs)), dtype=np.int64, count=2 * sum(counts))
-    base = flat.reshape(-1, 2)
-    base += np.repeat(voff[:-1], counts)[:, None]
-    return base, _offsets(counts)
 
 
 def _ranges(starts, ends):

@@ -21,6 +21,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -177,24 +178,38 @@ def circulant_graph(n, offsets):
                  edge_features=np.ones((len(edges), 1)))
 
 
+def _offsets(counts):
+    """[0, c0, c0 + c1, ...] as int64."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _union_edges(graphs, voff):
+    """The base edges of the disjoint union, as an (E, 2) int64 array of
+    union vertex ids in graph order, and the edge offset of each graph;
+    `voff` is `_offsets` of the vertex counts."""
+    counts = [len(g.edges) for g in graphs]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
+        g.edges for g in graphs)), dtype=np.int64, count=2 * sum(counts))
+    base = flat.reshape(-1, 2)
+    base += np.repeat(voff[:-1], counts)[:, None]
+    return base, _offsets(counts)
+
+
 def disjoint_union(graphs):
     """Relabels vertices with cumulative offsets; features are stacked."""
     graphs = list(graphs)
     if not graphs:
         raise GraphError("disjoint union of zero graphs")
     check_feature_widths(graphs)
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges.extend((i + offset, j + offset) for i, j in g.edges)
-        offset += g.n
+    voff = _offsets([g.n for g in graphs])
+    edges, _ = _union_edges(graphs, voff)
     vf = np.vstack([g.vertex_features for g in graphs])
     ef = np.vstack([g.edge_features for g in graphs])
     labels = None
     if all(g.vertex_labels is not None for g in graphs):
-        labels = tuple(x for g in graphs for x in g.vertex_labels)
-    return Graph(offset, tuple(edges), vertex_features=vf,
-                 edge_features=ef, vertex_labels=labels)
+        labels = tuple(chain.from_iterable(g.vertex_labels for g in graphs))
+    return Graph(int(voff[-1]), tuple(map(tuple, edges.tolist())),
+                 vertex_features=vf, edge_features=ef, vertex_labels=labels)
 
 
 def _bfs_within(adj, source, radius):
@@ -601,8 +616,8 @@ def load_tu_dataset(path):
 
 
 def _write_table(path, rows):
-    """Writes a float matrix one comma separated line per row, in the
-    shortest form that reads back exactly."""
+    """Writes a matrix one comma separated line per row, each value in
+    the shortest form that reads back exactly."""
     with open(path, "w") as fh:
         for row in rows.tolist():
             fh.write(", ".join(map(repr, row)) + "\n")
@@ -634,29 +649,23 @@ def save_tu_dataset(graphs, labels, path, name):
     check_feature_widths(graphs)
     if len(labels) != len(graphs):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
-    os.makedirs(path, exist_ok=True)
-    prefix = os.path.join(path, name)
-    with open(f"{prefix}_A.txt", "w") as adj, \
-            open(f"{prefix}_graph_indicator.txt", "w") as ind:
-        offset = 0
-        for gid, g in enumerate(graphs, start=1):
-            for _ in range(g.n):
-                ind.write(f"{gid}\n")
-            for i, j in g.edges:
-                adj.write(f"{offset + i + 1}, {offset + j + 1}\n")
-                adj.write(f"{offset + j + 1}, {offset + i + 1}\n")
-            offset += g.n
-    with open(f"{prefix}_graph_labels.txt", "w") as fh:
-        for y in labels:
-            fh.write(f"{int(y)}\n")
+    voff = _offsets([g.n for g in graphs])
+    edges, _ = _union_edges(graphs, voff)
+    tables = {
+        "A": np.hstack([edges, edges[:, ::-1]]).reshape(-1, 2) + 1,
+        "graph_indicator": np.repeat(np.arange(1, len(graphs) + 1),
+                                     np.diff(voff))[:, None],
+        "graph_labels": np.asarray(labels, dtype=np.int64)[:, None]}
     if labelled:
-        with open(f"{prefix}_node_labels.txt", "w") as fh:
-            for g in graphs:
-                for lab in g.vertex_labels:
-                    fh.write(f"{lab}\n")
+        tables["node_labels"] = np.fromiter(
+            chain.from_iterable(g.vertex_labels for g in graphs),
+            dtype=np.int64, count=int(voff[-1]))[:, None]
     elif graphs[0].vertex_features.shape[1]:
-        _write_table(f"{prefix}_node_attributes.txt",
-                     np.vstack([g.vertex_features for g in graphs]))
+        tables["node_attributes"] = np.vstack(
+            [g.vertex_features for g in graphs])
     if graphs and graphs[0].edge_features.shape[1]:
-        _write_table(f"{prefix}_edge_attributes.txt", np.vstack(
-            [g.edge_features for g in graphs]).repeat(2, axis=0))
+        tables["edge_attributes"] = np.vstack(
+            [g.edge_features for g in graphs]).repeat(2, axis=0)
+    os.makedirs(path, exist_ok=True)
+    for suffix, rows in tables.items():
+        _write_table(os.path.join(path, f"{name}_{suffix}.txt"), rows)

@@ -39,9 +39,10 @@ from numbers import Real
 import numpy as np
 
 from . import tensor as T
-from .encoding import (Wl2Encoding, _offsets, _union_edges, combine_encodings,
-                       edge_neighborhood_pairs, encode_all, stack_units)
-from .graphs import GraphError, check_counts, check_feature_widths
+from .encoding import (Wl2Encoding, combine_encodings, edge_neighborhood_pairs,
+                       encode_all, stack_units)
+from .graphs import (GraphError, _offsets, _union_edges, check_counts,
+                     check_feature_widths)
 
 # not called here since units are prepared a list at a time, but the
 # benchmark's tracer still wraps these names on this module
