@@ -25,13 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
-from .graphs import check_counts, circulant_graph, is_integer
+from .graphs import check_counts, circulant_graph, is_integer, is_real
 from .layers import (ModelSpec, combine_units, format_model_spec,
                      forward_model, init_model_params, input_width,
                      prepare_units)
@@ -62,7 +61,7 @@ class TrainConfig:
         check_counts(epochs=self.epochs, batch_size=self.batch_size,
                      repeats=self.repeats, patience=self.patience,
                      workers=self.workers)
-        if not (isinstance(self.holdout, Real) and 0 < self.holdout < 1):
+        if not (is_real(self.holdout) and 0 < self.holdout < 1):
             raise ValueError(f"holdout must lie in (0, 1), got {self.holdout}")
         # numpy generators take no negative seed
         for name in ("seed", "lr_patience"):
@@ -71,7 +70,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a non-negative integer, "
                                  f"got {value!r}")
         if self.target_acc is not None and not (
-                isinstance(self.target_acc, Real) and 0 < self.target_acc <= 1):
+                is_real(self.target_acc) and 0 < self.target_acc <= 1):
             raise ValueError(f"target_acc must be None or lie in (0, 1], "
                              f"got {self.target_acc!r}")
 

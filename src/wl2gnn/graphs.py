@@ -36,6 +36,11 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value):
+    """Whether `value` is a real number; a bool is none."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_counts(**counts):
     """Raises `ValueError` naming the first count that is not an integer
     or is below 1."""
@@ -96,7 +101,12 @@ class Graph:
         object.__setattr__(self, "vertex_features", vf)
         object.__setattr__(self, "edge_features", ef[order] if ef.shape[0] else ef)
         if self.vertex_labels is not None:
-            labels = tuple(int(x) for x in self.vertex_labels)
+            labels = tuple(self.vertex_labels)
+            for v, x in enumerate(labels):
+                if not is_integer(x):
+                    raise GraphError(f"vertex {v} has label {x!r}, which is "
+                                     "not an integer")
+            labels = tuple(map(int, labels))
             if len(labels) != self.n:
                 raise GraphError("vertex_labels length does not match vertex count")
             object.__setattr__(self, "vertex_labels", labels)
@@ -327,11 +337,11 @@ class TriangleConfig:
         for n in self.vertex_counts:
             check_counts(vertex_counts=n)
         for density in self.densities:
-            if not (isinstance(density, Real) and math.isfinite(density)):
+            if not (is_real(density) and math.isfinite(density)):
                 raise ValueError(f"densities must be finite, got {density!r}")
         for prop in self.proportions:
             if not (isinstance(prop, (tuple, list)) and len(prop) == 2
-                    and all(isinstance(p, Real) and 0 <= p <= 1 for p in prop)
+                    and all(is_real(p) and 0 <= p <= 1 for p in prop)
                     and math.isclose(sum(prop), 1)):
                 raise ValueError("proportions must be pairs in [0, 1] that "
                                  f"sum to 1, got {prop!r}")
@@ -634,9 +644,10 @@ def save_tu_dataset(graphs, labels, path, name):
 
     A graph with no vertices, which the format cannot hold, a non-finite
     feature to write, which the loader rejects, or feature widths that
-    differ between graphs raise `GraphError`, and a label count other
-    than the graph count raises `ValueError`, all before any directory
-    or file is made."""
+    differ between graphs raise `GraphError`; a label count other than
+    the graph count, a label that is not an integer, or labels of other
+    than two distinct values raise `ValueError`; all before any
+    directory or file is made."""
     labelled = all(g.vertex_labels is not None for g in graphs)
     for k, g in enumerate(graphs):
         if g.n == 0:
@@ -649,13 +660,22 @@ def save_tu_dataset(graphs, labels, path, name):
     check_feature_widths(graphs)
     if len(labels) != len(graphs):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
+    for k, y in enumerate(labels):
+        if not is_integer(y):
+            raise ValueError(f"graph label {k} is {y!r}, which is not an "
+                             "integer")
+    labels = np.asarray(labels, dtype=np.int64)
+    distinct = np.unique(labels)
+    if len(distinct) != 2:
+        raise ValueError("graph labels need exactly 2 classes, found "
+                         f"{distinct.tolist()}")
     voff = _offsets([g.n for g in graphs])
     edges, _ = _union_edges(graphs, voff)
     tables = {
         "A": np.hstack([edges, edges[:, ::-1]]).reshape(-1, 2) + 1,
         "graph_indicator": np.repeat(np.arange(1, len(graphs) + 1),
                                      np.diff(voff))[:, None],
-        "graph_labels": np.asarray(labels, dtype=np.int64)[:, None]}
+        "graph_labels": labels[:, None]}
     if labelled:
         tables["node_labels"] = np.fromiter(
             chain.from_iterable(g.vertex_labels for g in graphs),
@@ -663,7 +683,7 @@ def save_tu_dataset(graphs, labels, path, name):
     elif graphs[0].vertex_features.shape[1]:
         tables["node_attributes"] = np.vstack(
             [g.vertex_features for g in graphs])
-    if graphs and graphs[0].edge_features.shape[1]:
+    if graphs[0].edge_features.shape[1]:
         tables["edge_attributes"] = np.vstack(
             [g.edge_features for g in graphs]).repeat(2, axis=0)
     os.makedirs(path, exist_ok=True)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from . import tensor as T
 from .encoding import (Wl2Encoding, combine_encodings, edge_neighborhood_pairs,
                        encode_all, stack_units)
 from .graphs import (GraphError, _offsets, _union_edges, check_counts,
-                     check_feature_widths)
+                     check_feature_widths, is_real)
 
 # not called here since units are prepared a list at a time, but the
 # benchmark's tracer still wraps these names on this module
@@ -269,7 +268,7 @@ class ModelSpec:
         if self.act not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.act!r}")
         check_counts(t=self.t, d=self.d, r=self.r)
-        if not (isinstance(self.lr, Real) and 0 < self.lr < np.inf):
+        if not (is_real(self.lr) and 0 < self.lr < np.inf):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 

@@ -32,7 +32,8 @@ from wl2gnn.bench import (
     _select,
 )
 from wl2gnn.cli import build_parser, main
-from wl2gnn.graphs import Graph, GraphError, load_tu_dataset, save_tu_dataset
+from wl2gnn.graphs import (Graph, GraphError, TriangleConfig, load_tu_dataset,
+                           save_tu_dataset)
 from wl2gnn.layers import (ModelSpec, format_model_spec, init_model_params,
                            input_width, parse_model_spec, prepare_units)
 
@@ -163,8 +164,10 @@ _CONFIG_WRONG = {
        for field in ("epochs", "patience", "batch_size", "repeats", "workers")},
     "seed": (-1, 1.5, float("nan"), "0", None, True, False),
     "lr_patience": (-1, 0.5, float("inf"), "2", None, True, False),
-    "holdout": (0, 1, -0.5, 1.5, float("nan"), float("inf"), "0.1", None),
-    "target_acc": (0, -0.5, 1.5, 2.0, float("nan"), float("inf"), "0.9"),
+    "holdout": (0, 1, -0.5, 1.5, float("nan"), float("inf"), "0.1", None,
+                True, False),
+    "target_acc": (0, -0.5, 1.5, 2.0, float("nan"), float("inf"), "0.9",
+                   True, False),
 }
 _CONFIGS = st.builds(
     TrainConfig, epochs=st.integers(1, 500), patience=st.integers(1, 100),
@@ -183,6 +186,18 @@ def test_a_train_config_that_exists_is_valid(config, data):
     value = data.draw(st.sampled_from(_CONFIG_WRONG[field]))
     with pytest.raises(ValueError, match=field):
         replace(config, **{field: value})
+
+
+@pytest.mark.parametrize("cls,fields", [
+    (ModelSpec, {"lr": True}),
+    (TrainConfig, {"target_acc": True}),
+    (TriangleConfig, {"densities": (True,)}),
+    (TriangleConfig, {"proportions": ((True, False),)}),
+], ids=["lr", "target_acc", "densities", "proportions"])
+def test_a_bool_is_no_real_setting(cls, fields):
+    # each was taken as the number 1 or 0
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        cls(**fields)
 
 
 @pytest.mark.parametrize("fields,message", [

@@ -123,6 +123,20 @@ def test_vertex_labels_length_checked():
         Graph(3, (), vertex_labels=(0, 1))
 
 
+def test_vertex_labels_must_be_integers():
+    # a float or bool label was truncated: (0.5, 1.7, True) to (0, 1, 1)
+    for labels, message in (((0.5, 1, 2), "vertex 0 has label 0.5"),
+                            ((0, 1.7, 2), "vertex 1 has label 1.7"),
+                            ((0, 1, True), "vertex 2 has label True"),
+                            ((0, float("nan"), 2), "vertex 1 has label nan"),
+                            ((0, "1", 2), "vertex 1 has label '1'")):
+        with pytest.raises(GraphError, match=message):
+            Graph(3, ((0, 1),), vertex_labels=labels)
+    # numpy integers are integers, stored as ints
+    labels = Graph(2, (), vertex_labels=np.array([3, -4])).vertex_labels
+    assert labels == (3, -4) and all(type(x) is int for x in labels)
+
+
 def test_degree_ignores_self_loop():
     g = Graph(2, ((0, 0), (0, 1)))
     assert g.degree(0) == 1
@@ -340,9 +354,11 @@ _COUNT_WRONG = (2.5, float("nan"), float("inf"), 0, -3, "3", None, True,
 _TRIANGLE_WRONG = {
     "samples_per_cell": _COUNT_WRONG, "max_attempts_per_cell": _COUNT_WRONG,
     "vertex_counts": (8.5, float("nan"), 0, -2, "8", None, True, False),
-    "densities": (float("nan"), float("inf"), -float("inf"), "0.5", None),
+    "densities": (float("nan"), float("inf"), -float("inf"), "0.5", None,
+                  True, False),
     "proportions": ((1.5, -0.5), (0.5, 0.3), (float("nan"),) * 2, (0.5,),
-                    (0.25, 0.25, 0.5), (0.5, (0.5,)), ("a", "b"), 0.5, None),
+                    (0.25, 0.25, 0.5), (0.5, (0.5,)), ("a", "b"), 0.5, None,
+                    (True, False)),
 }
 _TRIANGLE_CONFIGS = st.builds(
     TriangleConfig,
@@ -590,17 +606,30 @@ def test_tu_round_trip(tmp_path):
 
 
 
-@pytest.mark.parametrize("sizes,n_labels,error,message", [
+@pytest.mark.parametrize("sizes,labels,error,message", [
     ((2, 0, 3), 3, GraphError, "graph 1 has no vertices"),
     ((2, 2, 3), 2, ValueError, "2 labels for 3 graphs"),
+    # written as 0 and 1, or failing after the first three files
+    ((2, 2), [0.5, 1.5], ValueError,
+     "graph label 0 is 0.5, which is not an integer"),
+    ((2, 2), [0, float("nan")], ValueError, "graph label 1 is nan"),
+    ((2, 2), [0, "x"], ValueError, "graph label 1 is 'x'"),
+    # written, and then the loader found other than two classes
+    ((), [], ValueError, r"need exactly 2 classes, found \[\]"),
+    ((2, 2), [1, 1], ValueError, r"need exactly 2 classes, found \[1\]"),
+    ((2, 2, 2), [0, 1, 2], ValueError,
+     r"need exactly 2 classes, found \[0, 1, 2\]"),
 ])
-def test_tu_writer_rejects_what_its_loader_rejects(tmp_path, sizes, n_labels,
+def test_tu_writer_rejects_what_its_loader_rejects(tmp_path, sizes, labels,
                                                    error, message):
-    # the loader would reject either directory, so the writer refuses the
-    # dataset before it makes a directory or a file
+    # the loader would reject every directory, so the writer refuses the
+    # dataset before it makes a directory or a file; a count of labels
+    # takes that many of [0, 1, 1]
     graphs = [Graph(n, ()) for n in sizes]
+    if isinstance(labels, int):
+        labels = [0, 1, 1][:labels]
     with pytest.raises(error, match=message):
-        save_tu_dataset(graphs, [0, 1, 1][:n_labels], tmp_path / "BAD", "BAD")
+        save_tu_dataset(graphs, labels, tmp_path / "BAD", "BAD")
     assert not (tmp_path / "BAD").exists()
 
 

@@ -372,7 +372,7 @@ _SPEC_WRONG = {
     "layer": ("nope", 3, None), "pool": ("max", 3, None),
     "act": ("tanh", 3, None), "t": _COUNT_WRONG, "d": _COUNT_WRONG,
     "r": _COUNT_WRONG,
-    "lr": (0, -1e-3, float("nan"), float("inf"), "fast", None),
+    "lr": (0, -1e-3, float("nan"), float("inf"), "fast", None, True, False),
 }
 # learning rates that the `g` format writes exactly
 _SPECS = st.builds(ModelSpec, layer=st.sampled_from(sorted(FAMILIES)),
