@@ -332,10 +332,13 @@ def run_cv(graphs, labels, grid, config, dataset="dataset", out_path=None):
     fold_task = partial(_run_fold, _unit_cache(grid, graphs), labels, grid,
                         config, dataset)
     if config.workers > 1:
-        # the pool starts all its workers at once, so no more than folds
+        # the pool starts all its workers at once, so no more than folds;
+        # each runs numpy's bundled OpenBLAS on one thread, so that their
+        # BLAS threads do not outnumber the cores
+        one_thread = partial(_set_blas_threads, 1)
         with ProcessPoolExecutor(max_workers=min(config.workers,
                                                  config.folds),
-                                 initializer=_one_blas_thread_worker) as pool:
+                                 initializer=one_thread) as pool:
             per_fold = list(pool.map(fold_task, range(config.folds), splits))
     else:
         per_fold = list(map(fold_task, range(config.folds), splits))
@@ -562,32 +565,31 @@ def _openblas_threads():
     return None
 
 
+def _set_blas_threads(n):
+    """Sets numpy's bundled OpenBLAS to `n` threads and returns the
+    previous count; sets nothing and returns None where
+    `_openblas_threads` finds no such library."""
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    get, set_ = threads
+    saved = get()
+    set_(n)
+    return saved
+
+
 @contextmanager
 def _one_blas_thread():
     """Runs the block with numpy's bundled OpenBLAS on one thread, so
     that a CPU-bound neighbour slows every cell alike, and restores the
     previous count afterwards, an exception included. A no-op where
     `_openblas_threads` finds no such library."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    saved = get()
-    set_(1)
+    saved = _set_blas_threads(1)
     try:
         yield
     finally:
-        set_(saved)
-
-
-def _one_blas_thread_worker():
-    """Pool initializer: numpy's bundled OpenBLAS on one thread, so that
-    the workers' BLAS threads do not outnumber the cores; a no-op where
-    `_openblas_threads` finds no such library."""
-    threads = _openblas_threads()
-    if threads is not None:
-        threads[1](1)
+        if saved is not None:
+            _set_blas_threads(saved)
 
 
 def scaling_study(n_list, d_list, r=1, fixed_n=64, n_graphs=100, epochs=100,

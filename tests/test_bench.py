@@ -776,6 +776,15 @@ def _fake_blas_threads(monkeypatch, count):
     return now, sets
 
 
+def test_set_blas_threads_returns_the_previous_count(monkeypatch):
+    now, sets = _fake_blas_threads(monkeypatch, 4)
+    assert bench._set_blas_threads(1) == 4
+    assert bench._set_blas_threads(3) == 1
+    assert sets == [1, 3] and now == [3]
+    monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+    assert bench._set_blas_threads(1) is None
+
+
 def test_scaling_study_sweeps_on_one_blas_thread(monkeypatch):
     now, sets = _fake_blas_threads(monkeypatch, 4)
     during = []
