@@ -708,8 +708,8 @@ def test_tu_writer_keeps_labelled_graphs_files(tmp_path):
 
 
 def test_tu_writer_keeps_attribute_files(tmp_path):
-    # unlabelled graphs with vertex and edge attributes: the five files,
-    # byte for byte, that the writer gave when each had a loop of its own
+    # unlabelled graphs with vertex and edge attributes: all five files,
+    # pinned byte for byte
     graphs = _featured_graphs() + [
         circulant_graph(n, offsets)
         for n, offsets in ((5, [1]), (6, [1, 3]), (7, [2, 3]))]
